@@ -14,12 +14,13 @@ that even path tries tens of thousands of levels deep evaluate quickly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSetError
+from .errors import DegenerateSetError, TreecapError
 from .tree import (
     BoundarySet,
     VertexId,
@@ -137,6 +138,8 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
 
     A Full leaf at depth ``m <= n`` owns ``2^(n-m)`` level-``n`` subtrees worth
     1/2 each, contributed in closed form.  ``n = 0`` gives back ``capacity(e)``.
+    In float mode a value beyond the binary64 range raises ``TreecapError``;
+    exact mode has no such limit.
     """
     if n < 0:
         raise ValueError(f"cut level must be >= 0, got {n}")
@@ -154,7 +157,8 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
         caps = _float_memo(e)
         leaf_value = lambda node: caps[id(node)]
         zero = 0.0
-        full_tail = lambda gap: 0.5 * (1 << gap)
+        # 2^1023 is the largest power of two in binary64; past it the sum is inf
+        full_tail = lambda gap: 2.0 ** (gap - 1) if gap <= 1024 else math.inf
 
     memo = {}
 
@@ -168,27 +172,32 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
             return leaf_value(node)
         return memo.get((id(node), remaining))
 
-    top = settled(root, n)
-    if top is not None:
-        return top
-    stack = [(root, n)]
-    while stack:
-        node, remaining = stack[-1]
-        key = (id(node), remaining)
-        if key in memo:
-            stack.pop()
-            continue
-        left_value = settled(node.left, remaining - 1)
-        right_value = settled(node.right, remaining - 1)
-        if left_value is not None and right_value is not None:
-            memo[key] = left_value + right_value
-            stack.pop()
-        else:
-            if right_value is None:
-                stack.append((node.right, remaining - 1))
-            if left_value is None:
-                stack.append((node.left, remaining - 1))
-    return memo[(id(root), n)]
+    value = settled(root, n)
+    if value is None:
+        stack = [(root, n)]
+        while stack:
+            node, remaining = stack[-1]
+            key = (id(node), remaining)
+            if key in memo:
+                stack.pop()
+                continue
+            left_value = settled(node.left, remaining - 1)
+            right_value = settled(node.right, remaining - 1)
+            if left_value is not None and right_value is not None:
+                memo[key] = left_value + right_value
+                stack.pop()
+            else:
+                if right_value is None:
+                    stack.append((node.right, remaining - 1))
+                if left_value is None:
+                    stack.append((node.left, remaining - 1))
+        value = memo[(id(root), n)]
+    if not exact and math.isinf(value):
+        raise TreecapError(
+            f"condenser capacity at cut level {n} exceeds the float range; "
+            "use exact arithmetic (--exact)"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -39,6 +38,7 @@ from .disc import CondenserProblem, SolverGrid, solve
 from .errors import TreecapError
 from .experiments import (
     parse_set_spec,
+    rows_to_csv,
     run_blowup,
     run_compare,
     run_conjecture,
@@ -75,16 +75,6 @@ def _emit(text: str, out_path):
             handle.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _rows_csv(rows) -> str:
-    buffer = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    return buffer.getvalue()
 
 
 def _value(x):
@@ -189,7 +179,7 @@ def _cmd_cap_tree(args) -> int:
     value = capacity(bset, exact=args.exact)
     payload = {"set": args.set, "exact": args.exact, "capacity": _value(value)}
     if args.format == "csv":
-        _emit(_rows_csv([payload]), args.out)
+        _emit(rows_to_csv([payload]), args.out)
     else:
         _emit(json.dumps(payload, indent=2), args.out)
     return 0
@@ -202,7 +192,7 @@ def _cmd_cap_cond(args) -> int:
         for n in range(args.n_max + 1)
     ]
     if args.format == "csv":
-        _emit(_rows_csv(rows), args.out)
+        _emit(rows_to_csv(rows), args.out)
     else:
         payload = {"set": args.set, "exact": args.exact, "rows": rows}
         _emit(json.dumps(payload, indent=2), args.out)
@@ -215,7 +205,7 @@ def _cmd_extremal(args) -> int:
     measure = equilibrium_measure(bset, exact=args.exact)
     vertices = flux.to_json_obj()
     if args.format == "csv":
-        _emit(_rows_csv(vertices), args.out)
+        _emit(rows_to_csv(vertices), args.out)
         return 0
     payload = {
         "set": args.set,
@@ -251,7 +241,7 @@ def _cmd_equal_split(args) -> int:
     obj["condenser_at_n"] = condenser_capacity(family.carrier, args.n)
     if args.format == "csv":
         rows = [{"k": k, "e": v} for k, v in enumerate(family.e)]
-        _emit(_rows_csv(rows), args.out)
+        _emit(rows_to_csv(rows), args.out)
         return 0
     _emit(json.dumps(obj, indent=2), args.out)
     return 0
@@ -276,7 +266,7 @@ def _cmd_solve_disc(args) -> int:
         "grid_radial": args.grid_radial,
     }
     if args.format == "csv":
-        _emit(_rows_csv([payload]), args.out)
+        _emit(rows_to_csv([payload]), args.out)
     else:
         _emit(json.dumps(payload, indent=2), args.out)
     return 0

@@ -14,16 +14,21 @@ boundary conditions on the free part of the circle.  Its operator is circulant
 in the angle, so the interior rings are eliminated exactly per Fourier mode,
 leaving a circulant system on the unit-circle ring that is applied by FFT and
 solved by conjugate gradients on the free ring nodes.
+
+Fields are ``(rings, columns)`` arrays: ring 0 lies on the inner plate and the
+last ring on the unit circle; columns are angular cells with periodic
+wraparound.  ``kr[i]`` is the radial conductance between rings ``i`` and
+``i + 1`` and ``kt[i]`` the angular conductance within ring ``i``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, DegenerateSetError, MisalignedArcError
 from .tree import BoundarySet
 
@@ -54,7 +59,7 @@ class CondenserProblem:
 
     arcs: tuple[tuple[int, int], ...]
     inner_radius: float
-    plate_values: tuple[float, float] = (1.0, 0.0)
+    plate_values: ClassVar[tuple[float, float]] = (1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.inner_radius < 1.0:
@@ -108,7 +113,8 @@ class DiscSolution:
         Equals ``capacity`` up to solver tolerance for every interior gap (the
         discrete Green identity).
         """
-        return _kernels.ring_flux(self.potential, self._kr, gap) / (2.0 * math.pi)
+        u, kr = self.potential, self._kr
+        return float((kr[gap] * (u[gap + 1] - u[gap])).sum()) / (2.0 * math.pi)
 
     def field_rows(self):
         """(rho, theta, u) triples of the potential field, for CSV dumps."""
@@ -168,6 +174,13 @@ def _plate_mask(arcs, n_angular: int, arc_resolution: int) -> np.ndarray:
         if start + width >= n_angular:
             mask[0] = True
     return mask
+
+
+def _grid_energy(u: np.ndarray, kr: np.ndarray, kt: np.ndarray) -> float:
+    """Raw Dirichlet energy of a grid field: sum of conductance-weighted squared drops."""
+    radial = kr[:, None] * (u[1:, :] - u[:-1, :]) ** 2
+    angular = kt[:, None] * (np.roll(u, -1, axis=1) - u) ** 2
+    return float(radial.sum() + angular.sum())
 
 
 def _ring_reduction(kr: np.ndarray, kt: np.ndarray, n_angular: int):
@@ -263,7 +276,7 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     ring[free] = x
     u = np.fft.irfft(gains * np.fft.rfft(ring), n=cols, axis=1)
     u[-1] = ring
-    cap = _kernels.grid_energy(u, kr, kt) / (2.0 * math.pi)
+    cap = _grid_energy(u, kr, kt) / (2.0 * math.pi)
     return DiscSolution(cap, u, rho, cols, iterations, residual, kr, kt)
 
 

@@ -32,6 +32,17 @@ from .errors import CalibrationError, DegenerateSetError, SetSpecError
 from .tree import BoundarySet, VertexId, prefix_set
 
 
+def rows_to_csv(rows: list[dict]) -> str:
+    """One CSV record per row, header from the first row's keys; None becomes empty."""
+    out = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    return out.getvalue()
+
+
 @dataclass
 class ExperimentReport:
     """Self-contained result of one experiment run."""
@@ -56,15 +67,7 @@ class ExperimentReport:
 
     def to_csv_str(self) -> str:
         """Rows only: one CSV record per row, fields matching the JSON rows."""
-        out = io.StringIO()
-        if self.rows:
-            writer = csv.DictWriter(out, fieldnames=list(self.rows[0].keys()))
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(
-                    {k: ("" if v is None else v) for k, v in row.items()}
-                )
-        return out.getvalue()
+        return rows_to_csv(self.rows)
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -12,6 +12,7 @@ from treecap import (
     cantor_set,
     capacity,
     capacity_table,
+    TreecapError,
     condenser_capacity,
     energy,
     equilibrium_measure,
@@ -94,6 +95,18 @@ class TestCondenser:
     def test_negative_level(self):
         with pytest.raises(ValueError):
             condenser_capacity(BoundarySet.full(), -1)
+
+    def test_float_overflow_raises(self):
+        half = prefix_set(Fraction(1, 2))
+        assert condenser_capacity(half, 1025) == 2.0**1023
+        with pytest.raises(TreecapError, match="exceeds the float range"):
+            condenser_capacity(half, 1026)
+        assert condenser_capacity(half, 1100, exact=True) == 1 << 1098
+        # finite tails 2^1023 + 2^1022 + ... + 2^964 whose float sum rounds to inf
+        e = BoundarySet.from_full_leaves([(m, (1 << m) - 2) for m in range(1, 61)])
+        assert condenser_capacity(e, 1024) == 2.0**1023
+        with pytest.raises(TreecapError, match="exceeds the float range"):
+            condenser_capacity(e, 1025)
 
     @given(boundary_sets(), st.integers(0, 10))
     @settings(max_examples=60)

@@ -12,7 +12,6 @@ from treecap import (
     cantor_set,
     prefix_set,
 )
-from treecap import _kernels
 from treecap.disc import (
     CondenserProblem,
     SolverGrid,
@@ -20,6 +19,7 @@ from treecap.disc import (
     condenser_profile,
     solve,
     _conductances,
+    _grid_energy,
     _plate_mask,
     _radial_nodes,
 )
@@ -58,6 +58,12 @@ class TestGridSetup:
         p = CondenserProblem(((2, 0), (2, 1)), 0.5)
         assert p.arcs == ((1, 0),)
         assert p.plate_values == (1.0, 0.0)
+
+    def test_plate_values_are_fixed(self):
+        with pytest.raises(TypeError):
+            CondenserProblem(((1, 0),), 0.5, (2.0, 0.0))
+        with pytest.raises(TypeError):
+            CondenserProblem(((1, 0),), 0.5, plate_values=(2.0, 0.0))
 
     def test_misaligned_arcs(self):
         deep = BoundarySet.shadow(VertexId(9, 0))
@@ -138,21 +144,34 @@ class TestSolutionProperties:
         assert obj["rings"] == 25 and obj["n_angular"] == 128
 
 
+def grid_laplacian(kr, kt, shape):
+    """The full 2D quadratic form as a dense graph Laplacian, assembled edge by
+    edge: radial edges (i, j)-(i+1, j) with conductance kr[i], angular edges
+    (i, j)-(i, j+1 mod N) with conductance kt[i]."""
+    rings, cols = shape
+    index = np.arange(rings * cols).reshape(shape)
+    a = np.zeros((rings * cols, rings * cols))
+
+    def add_edge(p, q, k):
+        a[p, p] += k
+        a[q, q] += k
+        a[p, q] -= k
+        a[q, p] -= k
+
+    for i in range(rings):
+        for j in range(cols):
+            if i + 1 < rings:
+                add_edge(index[i, j], index[i + 1, j], kr[i])
+            add_edge(index[i, j], index[i, (j + 1) % cols], kt[i])
+    return a
+
+
 def dense_solve(problem, grid):
-    """Capacity and potential from a dense solve of the full 2D quadratic form,
-    assembled column by column from the reference stencil."""
+    """Capacity and potential from a dense solve of the full 2D quadratic form."""
     rho = _radial_nodes(problem.inner_radius, grid.n_radial, grid.n_angular)
     kr, kt = _conductances(rho, grid.n_angular)
     shape = (grid.n_radial + 1, grid.n_angular)
-    size = shape[0] * shape[1]
-    everywhere = np.ones(shape, dtype=bool)
-    a = np.empty((size, size))
-    unit = np.zeros(shape)
-    out = np.empty(shape)
-    for j in range(size):
-        unit.flat[j] = 1.0
-        a[:, j] = _kernels._apply_masked_numpy(unit, out, kr, kt, everywhere).ravel()
-        unit.flat[j] = 0.0
+    a = grid_laplacian(kr, kt, shape)
     plate = _plate_mask(problem.arcs, grid.n_angular, problem.arc_resolution)
     fixed = np.zeros(shape, dtype=bool)
     fixed[0, :] = True
@@ -218,29 +237,10 @@ class TestWrappers:
 
 
 class TestKernels:
-    def test_numpy_and_numba_stencils_agree(self):
-        rng = np.random.default_rng(5)
-        rho = _radial_nodes(0.5, 20, 64)
-        kr, kt = _conductances(rho, 64)
-        u = rng.normal(size=(21, 64))
-        free = rng.random((21, 64)) > 0.2
-        out_a = np.empty_like(u)
-        out_b = np.empty_like(u)
-        _kernels._apply_masked_numpy(u, out_a, kr, kt, free)
-        if _kernels.backend_name() == "numba":
-            _kernels._apply_masked_numba(u, out_b, kr, kt, free)
-            assert np.allclose(out_a, out_b, rtol=0, atol=1e-14)
-
-    def test_backend_reports(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
     def test_energy_matches_quadratic_form(self):
-        # energy(u) equals u . A u when u vanishes on no... use free-everywhere
         rng = np.random.default_rng(6)
         rho = _radial_nodes(0.5, 12, 32)
         kr, kt = _conductances(rho, 32)
         u = rng.normal(size=(13, 32))
-        free = np.ones_like(u, dtype=bool)
-        out = np.empty_like(u)
-        _kernels._apply_masked_numpy(u, out, kr, kt, free)
-        assert abs(_kernels.grid_energy(u, kr, kt) - float((u * out).sum())) <= 1e-9
+        a = grid_laplacian(kr, kt, u.shape)
+        assert abs(_grid_energy(u, kr, kt) - float(u.ravel() @ a @ u.ravel())) <= 1e-9

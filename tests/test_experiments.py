@@ -220,6 +220,14 @@ class TestCli:
         assert main(["experiment", "blowup", "--set", "empty", "--n-max", "4"]) == 2
         assert main(["build-set", "--eps", "0.9"]) == 2
 
+    def test_cap_cond_float_overflow_exit_two(self, capsys):
+        argv = ["cap-cond", "--set", "prefix:1/2", "--n-max", "1100"]
+        assert main(argv) == 2
+        assert "exceeds the float range" in capsys.readouterr().err
+        assert main(argv + ["--exact"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[-1] == {"n": 1100, "value": str(1 << 1098)}
+
     def test_experiment_compare_cli(self, capsys):
         code = main(
             ["experiment", "compare", "--set", "shadow:1,0", "--n-max", "2",
