@@ -15,7 +15,6 @@ from .tree import (
     confluent,
     prefix_set,
     rho,
-    set_algebra,
 )
 from .capacity import (
     CapacityTable,
@@ -63,7 +62,6 @@ __all__ = [
     "confluent",
     "prefix_set",
     "rho",
-    "set_algebra",
     "CapacityTable",
     "EquilibriumMeasure",
     "FluxTable",

@@ -11,17 +11,17 @@ cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .capacity import capacity, _float_memo
-from .errors import CalibrationError, ToleranceError
+from .capacity import capacity, _memo
+from .errors import CalibrationError, ToleranceError, TreecapError
 from .tree import (
     BoundarySet,
     prefix_set,
     _EMPTY_LEAF,
-    _EMPTY_TAG,
     _FULL_LEAF,
     _FULL_TAG,
     _INTERNAL_TAG,
@@ -49,9 +49,13 @@ def psi_iterate(t: float, n: int) -> float:
         raise ValueError(f"psi_iterate is defined on [0, 1/2], got {t}")
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    # denominator rearranged as 2^n (1 - 2t) + 2t: algebraically identical and
-    # free of cancellation when t sits next to 1/2
-    return t / (2.0**n * (1.0 - 2.0 * t) + 2.0 * t)
+    if t == 0.5:
+        return 0.5  # the fixed point; the scaled form below would be 0/0 for huge n
+    # t / (2^n (1 - 2t) + 2t) with both terms scaled by 2^-n: exact power-of-two
+    # scaling, so bit-identical to the unscaled form wherever nothing
+    # underflows, and finite for every n.  Grouping (1 - 2t) keeps t next to
+    # 1/2 free of cancellation.
+    return math.ldexp(t, -n) / ((1.0 - 2.0 * t) + math.ldexp(2.0 * t, -n))
 
 
 def lower_bound(eps: float, n: int) -> float:
@@ -64,7 +68,7 @@ def lower_bound(eps: float, n: int) -> float:
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     # 1 - (2 - 2^(1-n)) eps, rearranged to avoid cancellation near eps = 1/2
-    return eps / ((1.0 - 2.0 * eps) + 2.0 ** (1 - n) * eps)
+    return _bound_ratio(eps, (1.0 - 2.0 * eps) + 2.0 ** (1 - n) * eps, n)
 
 
 def lower_bound_gap_form(delta: float, n: int) -> float:
@@ -77,7 +81,22 @@ def lower_bound_gap_form(delta: float, n: int) -> float:
         raise ValueError(f"gap must lie in [0, 1/2], got {delta}")
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
-    return (0.5 - delta) / ((2.0 - 2.0 ** (1 - n)) * delta + 2.0 ** (-n))
+    return _bound_ratio(
+        0.5 - delta, (2.0 - 2.0 ** (1 - n)) * delta + 2.0 ** (-n), n
+    )
+
+
+def _bound_ratio(numerator: float, denominator: float, n: int) -> float:
+    """A lower-bound quotient, or ``TreecapError`` past the binary64 range.
+
+    At eps = 1/2 the bound is 2^(n-1): infinite in floats from n = 1025 on,
+    and a zero denominator once 2^-n underflows.
+    """
+    if denominator > 0.0:
+        value = numerator / denominator
+        if value != math.inf:
+            return value
+    raise TreecapError(f"lower bound at level {n} exceeds the float range")
 
 
 def plateau_bound(eps: float) -> float:
@@ -90,14 +109,6 @@ def plateau_bound(eps: float) -> float:
 # ---------------------------------------------------------------------------
 # bisection on dyadic cut points
 # ---------------------------------------------------------------------------
-
-def _node_value(memo, node) -> float:
-    if node.tag == _FULL_TAG:
-        return 0.5
-    if node.tag == _EMPTY_TAG:
-        return 0.0
-    return memo[id(node)]
-
 
 def _node_child(node, bit: int):
     """Child along the cut path; leaves stand for their own uniform regions."""
@@ -183,7 +194,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
     so the caller can finish the job by re-targeting the cut subtree.
     """
     base_set = base if base is not None else BoundarySet.full()
-    memo = _float_memo(base_set)
+    memo = _memo(base_set, False)  # every node on the cut path, leaves too
     base_root = base_set._root
     ptr = base_root
 
@@ -198,9 +209,9 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
 
     for _ in range(_ITERATION_BUDGET):
         if mode == "trim":
-            v_lo, v_hi = 0.0, _node_value(memo, ptr)
+            v_lo, v_hi = 0.0, memo[ptr]
         else:
-            v_lo, v_hi = _node_value(memo, ptr), 0.5
+            v_lo, v_hi = memo[ptr], 0.5
         f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
 
         if f_lo == target:
@@ -274,9 +285,9 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         right = _node_child(ptr, 1)
         # capacity contributed below the cut vertex when t sits at its midpoint
         if mode == "trim":
-            s = _node_value(memo, left)
+            s = memo[left]
         else:
-            s = 0.5 + _node_value(memo, right)
+            s = 0.5 + memo[right]
         f_mid = evaluate(s / (1.0 + s))
 
         if f_mid == target:
@@ -284,10 +295,10 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
             return _closure_set(bits, False, base_root, mode), f_mid, None
         if f_mid <= target:
             bit = 1
-            a = _node_value(memo, left) if mode == "trim" else 0.5
+            a = memo[left] if mode == "trim" else 0.5
         else:
             bit = 0
-            a = 0.0 if mode == "trim" else _node_value(memo, right)
+            a = 0.0 if mode == "trim" else memo[right]
         bits.append(bit)
         ptr = _node_child(ptr, bit)
         # compose with the sibling merge v -> (v + a) / (v + 1 + a)
@@ -315,7 +326,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
 
     base_set = base if base is not None else BoundarySet.full()
     local_hi = (
-        _node_value(_float_memo(base_set), ptr) if mode == "trim" else 0.5
+        _memo(base_set, False)[ptr] if mode == "trim" else 0.5
     )
     plan = (
         _carve_plan(target, tol, matrix, local_hi, max_resolution)

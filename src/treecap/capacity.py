@@ -8,8 +8,10 @@ level ``n`` is the sum of the subtree capacities of all ``2^n`` level-``n``
 vertices; subtrees buried inside a Full region contribute closed-form tails,
 never deep expansions.
 
-Float mode works in binary64; exact mode carries unreduced integer pairs so
-that even path tries tens of thousands of levels deep evaluate quickly.
+The recursion is one `tree._fold` over the distinct trie nodes, run with one
+of two arithmetics: float mode works in binary64; exact mode carries
+unreduced integer pairs so that even path tries tens of thousands of levels
+deep evaluate quickly, and makes a Fraction only for a value it returns.
 """
 
 from __future__ import annotations
@@ -27,110 +29,59 @@ from .tree import (
     _EMPTY_TAG,
     _FULL_TAG,
     _INTERNAL_TAG,
+    _fold,
 )
 
 MAX_BRUTE_FORCE_DEPTH = 8
 
 
 # ---------------------------------------------------------------------------
-# core recursion, float and exact flavors
+# core recursion, one fold for float and exact arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _cap_float_memo(root) -> dict[int, float]:
-    """Subtree capacity per distinct node, bottom-up without recursion."""
-    memo: dict[int, float] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        tag = node.tag
-        if tag == _FULL_TAG:
-            memo[id(node)] = 0.5
-            stack.pop()
-        elif tag == _EMPTY_TAG:
-            memo[id(node)] = 0.0
-            stack.pop()
-        else:
-            left, right = node.left, node.right
-            cl = memo.get(id(left))
-            cr = memo.get(id(right))
-            if cl is not None and cr is not None:
-                s = cl + cr
-                memo[id(node)] = s / (1.0 + s)
-                stack.pop()
-            else:
-                if cr is None:
-                    stack.append(right)
-                if cl is None:
-                    stack.append(left)
-    return memo
+def _float_merge(a, b, _same):
+    s = a + b
+    return s / (1.0 + s)
 
 
-def _cap_pair_memo(root) -> dict[int, tuple[int, int]]:
-    """Exact subtree capacities as unreduced integer pairs (numerator, denominator).
-
-    Pairs are never reduced; identical children (shared subtree objects) take a
-    fast path so balanced spines over one shared subtree stay linear in size.
-    """
-    memo: dict[int, tuple[int, int]] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        tag = node.tag
-        if tag == _FULL_TAG:
-            memo[id(node)] = (1, 2)
-            stack.pop()
-        elif tag == _EMPTY_TAG:
-            memo[id(node)] = (0, 1)
-            stack.pop()
-        else:
-            left, right = node.left, node.right
-            cl = memo.get(id(left))
-            cr = memo.get(id(right))
-            if cl is not None and cr is not None:
-                if left is right:
-                    a, b = cl
-                    sn, sd = 2 * a, b
-                else:
-                    a, b = cl
-                    c, d = cr
-                    sn, sd = a * d + c * b, b * d
-                memo[id(node)] = (sn, sd + sn)
-                stack.pop()
-            else:
-                if cr is None:
-                    stack.append(right)
-                if cl is None:
-                    stack.append(left)
-    return memo
+def _pair_merge(left, right, same):
+    # unreduced (numerator, denominator) pairs; identical children (a shared
+    # subtree object) take a fast path so balanced spines over one shared
+    # subtree stay linear in size
+    a, b = left
+    if same:
+        sn, sd = 2 * a, b
+    else:
+        c, d = right
+        sn, sd = a * d + c * b, b * d
+    return (sn, sd + sn)
 
 
-def _float_memo(e: BoundarySet) -> dict[int, float]:
-    memo = e._cache.get("cap_float")
+def _memo(e: BoundarySet, exact: bool) -> dict:
+    """Subtree capacity per distinct node of ``e``: floats, or unreduced pairs."""
+    key = "cap_exact" if exact else "cap_float"
+    memo = e._cache.get(key)
     if memo is None:
-        memo = e._cache["cap_float"] = _cap_float_memo(e._root)
+        if exact:
+            memo = _fold(e._root, (1, 2), (0, 1), _pair_merge)
+        else:
+            memo = _fold(e._root, 0.5, 0.0, _float_merge)
+        e._cache[key] = memo
     return memo
 
 
-def _pair_memo(e: BoundarySet) -> dict[int, tuple[int, int]]:
-    memo = e._cache.get("cap_pair")
-    if memo is None:
-        memo = e._cache["cap_pair"] = _cap_pair_memo(e._root)
-    return memo
+def _value_of(e: BoundarySet, exact: bool):
+    """Node -> subtree capacity: the float memo, or a Fraction made on demand."""
+    memo = _memo(e, exact)
+    if exact:
+        return lambda node: Fraction(*memo[node])
+    return memo.__getitem__
 
 
 def capacity(e: BoundarySet, exact: bool = False):
     """Capacity of a closed boundary set; 1/2 for the full boundary, 0 for the empty set."""
-    if exact:
-        p, q = _pair_memo(e)[id(e._root)]
-        return Fraction(p, q)
-    return _float_memo(e)[id(e._root)]
+    return _value_of(e, exact)(e._root)
 
 
 def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
@@ -144,18 +95,11 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
     if n < 0:
         raise ValueError(f"cut level must be >= 0, got {n}")
     root = e._root
+    leaf_value = _value_of(e, exact)
     if exact:
-        caps = _pair_memo(e)
-
-        def leaf_value(node):
-            p, q = caps[id(node)]
-            return Fraction(p, q)
-
         zero = Fraction(0)
         full_tail = lambda gap: Fraction(1 << gap, 2)
     else:
-        caps = _float_memo(e)
-        leaf_value = lambda node: caps[id(node)]
         zero = 0.0
         # 2^1023 is the largest power of two in binary64; past it the sum is inf
         full_tail = lambda gap: 2.0 ** (gap - 1) if gap <= 1024 else math.inf
@@ -170,17 +114,17 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
             return full_tail(remaining)
         if remaining == 0:
             return leaf_value(node)
-        return memo.get((id(node), remaining))
+        return memo.get((node, remaining))
 
     value = settled(root, n)
     if value is None:
         stack = [(root, n)]
         while stack:
-            node, remaining = stack[-1]
-            key = (id(node), remaining)
+            key = stack[-1]
             if key in memo:
                 stack.pop()
                 continue
+            node, remaining = key
             left_value = settled(node.left, remaining - 1)
             right_value = settled(node.right, remaining - 1)
             if left_value is not None and right_value is not None:
@@ -191,7 +135,7 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
                     stack.append((node.right, remaining - 1))
                 if left_value is None:
                     stack.append((node.left, remaining - 1))
-        value = memo[(id(root), n)]
+        value = memo[(root, n)]
     if not exact and math.isinf(value):
         raise TreecapError(
             f"condenser capacity at cut level {n} exceeds the float range; "
@@ -238,15 +182,8 @@ def _positions(root):
 
 def capacity_table(e: BoundarySet, exact: bool = False) -> CapacityTable:
     """Materialized capacity table; size is the number of trie positions."""
-    if exact:
-        caps = _pair_memo(e)
-        values = {
-            v: Fraction(*caps[id(node)]) for v, node in _positions(e._root)
-        }
-    else:
-        caps = _float_memo(e)
-        values = {v: caps[id(node)] for v, node in _positions(e._root)}
-    return CapacityTable(e, values)
+    value = _value_of(e, exact)
+    return CapacityTable(e, {v: value(node) for v, node in _positions(e._root)})
 
 
 @dataclass
@@ -316,14 +253,9 @@ def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
     sets, where no equilibrium normalization exists.
     """
     root = e._root
-    if exact:
-        pairs = _pair_memo(e)
-        caps = {k: Fraction(*v) for k, v in pairs.items()}
-        one = Fraction(1)
-    else:
-        caps = _float_memo(e)
-        one = 1.0
-    c_root = caps[id(root)]
+    cap = _value_of(e, exact)
+    one = Fraction(1) if exact else 1.0
+    c_root = cap(root)
     if c_root == 0:
         raise DegenerateSetError(
             "the set has zero capacity; the extremal flux is identically zero"
@@ -337,7 +269,7 @@ def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
             continue
         deficit = one - h_sum
         for child, j in ((node.left, 2 * index), (node.right, 2 * index + 1)):
-            hc = deficit * caps[id(child)]
+            hc = deficit * cap(child)
             v = VertexId(level + 1, j)
             h[v] = hc
             H[v] = h_sum + hc

@@ -6,13 +6,20 @@ is stored as a finite binary trie whose leaves are tagged Full or Empty; the
 set is the union of the shadows of the Full leaves, equivalently a finite
 union of closed dyadic arcs.  Tries are canonical (no two sibling leaves share
 a tag) and immutable, so subtrees can be shared freely between sets.
+
+The trie is the only representation.  Two traversals serve every caller:
+`_fold` computes a value per distinct node bottom-up (capacities, hash,
+resolution), and `_apply` combines two tries by a memoized node-pair walk
+(union, intersection, and construction from leaves).  Both cost time in the
+distinct nodes of the shared trie, not in its positions; only leaf
+enumeration and serialization grow with the positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ResolutionError, SetSpecError
 
@@ -123,14 +130,79 @@ def _join(left: _Node, right: _Node) -> _Node:
     return _Node(_INTERNAL_TAG, left, right)
 
 
-def _leaf_run(a: int, b: int, scale_log: int) -> Iterator[tuple[int, int]]:
-    """Maximal dyadic arcs covering [a, b) at scale 2^-scale_log, in order."""
-    while a < b:
-        size_log = (a & -a).bit_length() - 1 if a else scale_log
-        while (1 << size_log) > b - a:
-            size_log -= 1
-        yield scale_log - size_log, a >> size_log
-        a += 1 << size_log
+def _fold(root: _Node, full, empty, merge) -> dict:
+    """Bottom-up value of every distinct node below ``root``, without recursion.
+
+    Leaves take ``full`` or ``empty``; an internal node takes
+    ``merge(left_value, right_value, left is right)``.  Returns the memo, keyed
+    by node object (nodes hash by identity), so shared subtrees are folded once.
+    No value may be None.
+    """
+    memo = {}
+    get = memo.get
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        tag = node.tag
+        if tag != _INTERNAL_TAG:
+            memo[node] = full if tag == _FULL_TAG else empty
+            stack.pop()
+            continue
+        left, right = node.left, node.right
+        lv = get(left)
+        rv = get(right)
+        if lv is not None and rv is not None:
+            memo[node] = merge(lv, rv, left is right)
+            stack.pop()
+        else:
+            if rv is None:
+                stack.append(right)
+            if lv is None:
+                stack.append(left)
+    return memo
+
+
+def _apply(a: _Node, b: _Node, union: bool) -> _Node:
+    """Canonical trie of the union (or intersection) of two tries.
+
+    A node-pair walk with one memo, so shared subtrees are combined once and
+    the work is bounded by the product of the distinct node counts.  For a
+    union a Full leaf absorbs and an Empty leaf yields the other side; for an
+    intersection the roles swap.
+    """
+    absorbing, neutral = (_FULL_TAG, _EMPTY_TAG) if union else (_EMPTY_TAG, _FULL_TAG)
+    memo = {}
+
+    def settled(x, y):
+        if x is y or x.tag == absorbing or y.tag == neutral:
+            return x
+        if y.tag == absorbing or x.tag == neutral:
+            return y
+        return memo.get((x, y))
+
+    result = settled(a, b)
+    if result is not None:
+        return result
+    stack = [(a, b)]
+    while stack:
+        x, y = stack[-1]
+        if (x, y) in memo:
+            stack.pop()
+            continue
+        left = settled(x.left, y.left)
+        right = settled(x.right, y.right)
+        if left is not None and right is not None:
+            memo[(x, y)] = _join(left, right)
+            stack.pop()
+        else:
+            if right is None:
+                stack.append((x.right, y.right))
+            if left is None:
+                stack.append((x.left, y.left))
+    return memo[(a, b)]
 
 
 class BoundarySet:
@@ -140,12 +212,10 @@ class BoundarySet:
     set equality (canonical tries are unique, so it is structural).
     """
 
-    __slots__ = ("_root", "_leaves", "_resolution", "_cache")
+    __slots__ = ("_root", "_cache")
 
     def __init__(self, root: _Node):
         self._root = root
-        self._leaves = None
-        self._resolution = None
         self._cache = {}  # write-once memos of derived pure values
 
     # -- constructors ------------------------------------------------------
@@ -173,28 +243,11 @@ class BoundarySet:
     @staticmethod
     def from_full_leaves(pairs: Iterable[tuple[int, int]]) -> "BoundarySet":
         """Union of the shadows S((n, j)) for the given (possibly overlapping) pairs."""
-        intervals = []
+        # dyadic arcs nest or are disjoint, so each union walks one path
+        root = _EMPTY_LEAF
         for n, j in pairs:
-            v = VertexId(n, j)  # validates the pair
-            lo, hi = v.arc()
-            intervals.append((lo, hi))
-        return BoundarySet._from_intervals(_merge_intervals(intervals))
-
-    @staticmethod
-    def _from_intervals(intervals: list[tuple[Fraction, Fraction]]) -> "BoundarySet":
-        """Build the canonical trie for a sorted list of disjoint dyadic intervals."""
-        if not intervals:
-            return _EMPTY_SET
-        leaves = []
-        for lo, hi in intervals:
-            scale_log = max(
-                _dyadic_resolution(lo), _dyadic_resolution(hi)
-            )
-            scale = 1 << scale_log
-            a = lo.numerator * (scale // lo.denominator)
-            b = hi.numerator * (scale // hi.denominator)
-            leaves.extend(_leaf_run(a, b, scale_log))
-        return BoundarySet(_tree_from_leaves(leaves))
+            root = _apply(root, BoundarySet.shadow(VertexId(n, j))._root, True)
+        return BoundarySet(root)
 
     # -- basic queries ------------------------------------------------------
 
@@ -205,39 +258,37 @@ class BoundarySet:
         return self._root.tag == _FULL_TAG
 
     def full_leaves(self) -> list[tuple[int, int]]:
-        """(level, index) labels of the Full leaves, in arc (left-to-right) order."""
-        if self._leaves is None:
-            out = []
+        """(level, index) labels of the Full leaves, in arc (left-to-right) order.
+
+        Linear in the trie positions, which can be exponentially many more
+        than the distinct nodes of a shared trie.
+        """
+        leaves = self._cache.get("leaves")
+        if leaves is None:
+            leaves = []
             stack = [(self._root, 0, 0)]
             while stack:
                 node, level, index = stack.pop()
                 if node.tag == _FULL_TAG:
-                    out.append((level, index))
+                    leaves.append((level, index))
                 elif node.tag == _INTERNAL_TAG:
                     stack.append((node.right, level + 1, 2 * index + 1))
                     stack.append((node.left, level + 1, 2 * index))
-            self._leaves = out
-        return list(self._leaves)
+            self._cache["leaves"] = leaves
+        return list(leaves)
+
+    def _folded(self, key: str, full, empty, merge):
+        """Root value of a `_fold`, memoized per set under ``key``."""
+        value = self._cache.get(key)
+        if value is None:
+            value = _fold(self._root, full, empty, merge)[self._root]
+            self._cache[key] = value
+        return value
 
     @property
     def resolution(self) -> int:
         """Depth of the trie; the finest arc scale used by the encoding."""
-        if self._resolution is None:
-            best = 0
-            stack = [(self._root, 0)]
-            deepest = {}  # deepest position already expanded, per shared node
-            while stack:
-                node, level = stack.pop()
-                if deepest.get(id(node), -1) >= level:
-                    continue
-                deepest[id(node)] = level
-                if node.tag == _INTERNAL_TAG:
-                    stack.append((node.left, level + 1))
-                    stack.append((node.right, level + 1))
-                else:
-                    best = max(best, level)
-            self._resolution = best
-        return self._resolution
+        return self._folded("resolution", 0, 0, lambda l, r, _: 1 + max(l, r))
 
     def node_count(self) -> int:
         """Number of distinct trie nodes (shared subtrees counted once)."""
@@ -245,9 +296,9 @@ class BoundarySet:
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             if node.tag == _INTERNAL_TAG:
                 stack.append(node.left)
                 stack.append(node.right)
@@ -267,13 +318,10 @@ class BoundarySet:
     # -- set algebra ---------------------------------------------------------
 
     def union(self, other: "BoundarySet") -> "BoundarySet":
-        merged = _merge_intervals(self.intervals() + other.intervals())
-        return BoundarySet._from_intervals(merged)
+        return BoundarySet(_apply(self._root, other._root, True))
 
     def intersection(self, other: "BoundarySet") -> "BoundarySet":
-        return BoundarySet._from_intervals(
-            _intersect_intervals(self.intervals(), other.intervals())
-        )
+        return BoundarySet(_apply(self._root, other._root, False))
 
     def is_subset_of(self, other: "BoundarySet") -> bool:
         return self.intersection(other) == self
@@ -286,7 +334,10 @@ class BoundarySet:
         return _same_structure(self._root, other._root)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.full_leaves()))
+        # structural, like equality: equal sets have identical tries
+        return self._folded(
+            "hash", _FULL_TAG, _EMPTY_TAG, lambda l, r, _: hash((l, r))
+        )
 
     def __repr__(self) -> str:
         if self.is_empty():
@@ -332,15 +383,6 @@ class BoundarySet:
 
 _EMPTY_SET = BoundarySet(_EMPTY_LEAF)
 _FULL_SET = BoundarySet(_FULL_LEAF)
-
-
-def set_algebra(a: BoundarySet, b: BoundarySet, op: str) -> BoundarySet:
-    """Union or intersection of two boundary sets (``op`` in {'union', 'intersection'})."""
-    if op == "union":
-        return a.union(b)
-    if op == "intersection":
-        return a.intersection(b)
-    raise ValueError(f"unknown set operation {op!r}")
 
 
 def prefix_set(
@@ -391,91 +433,14 @@ def _dyadic_resolution(x: Fraction) -> int:
     return d.bit_length() - 1
 
 
-def _merge_intervals(
-    intervals: list[tuple[Fraction, Fraction]],
-) -> list[tuple[Fraction, Fraction]]:
-    """Sort and merge touching/overlapping intervals."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _intersect_intervals(xs, ys):
-    """Pairwise overlaps of two sorted disjoint interval lists (half-open tiling)."""
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if xs[i][1] <= ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _tree_from_leaves(leaves: list[tuple[int, int]]) -> _Node:
-    """Canonical trie from sorted disjoint full arcs, gaps filled with Empty leaves."""
-    if not leaves:
-        return _EMPTY_LEAF
-
-    stack: list[tuple[int, int, _Node]] = []
-
-    def push(level, index, node):
-        stack.append((level, index, node))
-        while len(stack) >= 2:
-            l1, j1, n1 = stack[-2]
-            l2, j2, n2 = stack[-1]
-            if l1 == l2 and j2 == j1 + 1 and (j1 & 1) == 0:
-                stack.pop()
-                stack.pop()
-                stack.append((l1 - 1, j1 >> 1, _join(n1, n2)))
-            else:
-                break
-
-    cursor = Fraction(0)  # left edge of the uncovered region
-    for n, j in leaves:
-        lo, hi = Fraction(j, 1 << n), Fraction(j + 1, 1 << n)
-        if lo < cursor:
-            raise ValueError("leaves must be sorted and disjoint")
-        for gap in _gap_leaves(cursor, lo):
-            push(gap[0], gap[1], _EMPTY_LEAF)
-        push(n, j, _FULL_LEAF)
-        cursor = hi
-    for gap in _gap_leaves(cursor, Fraction(1)):
-        push(gap[0], gap[1], _EMPTY_LEAF)
-
-    assert len(stack) == 1 and stack[0][:2] == (0, 0)
-    return stack[0][2]
-
-
-def _gap_leaves(lo: Fraction, hi: Fraction) -> Iterator[tuple[int, int]]:
-    if lo >= hi:
-        return
-    scale_log = max(_dyadic_resolution(lo), _dyadic_resolution(hi))
-    scale = 1 << scale_log
-    a = lo.numerator * (scale // lo.denominator)
-    b = hi.numerator * (scale // hi.denominator)
-    yield from _leaf_run(a, b, scale_log)
-
-
 def _same_structure(a: _Node, b: _Node) -> bool:
     stack = [(a, b)]
     seen = set()
     while stack:
         x, y = stack.pop()
-        if x is y:
+        if x is y or (x, y) in seen:
             continue
-        if (id(x), id(y)) in seen:
-            continue
-        seen.add((id(x), id(y)))
+        seen.add((x, y))
         if x.tag != y.tag:
             return False
         if x.tag == _INTERNAL_TAG:

@@ -9,6 +9,7 @@ from treecap import (
     BoundarySet,
     VertexId,
     ToleranceError,
+    TreecapError,
     calibrated_set,
     cantor_set,
     capacity,
@@ -61,6 +62,21 @@ class TestPsi:
     def test_single_step(self, t):
         assert abs(psi_iterate(t, 1) - psi(t)) <= 1e-15
 
+    def test_unscaled_form_below_level_1000(self):
+        # away from underflow the 2^-n scaling is exact, so the unscaled
+        # closed form gives the same bits
+        for t in (0.0, 1e-3, 0.1, 0.25, 0.3, 0.4999, 0.5 - 2.0**-40, 0.5):
+            for n in range(1001):
+                unscaled = t / (2.0**n * (1.0 - 2.0 * t) + 2.0 * t)
+                assert psi_iterate(t, n) == unscaled
+
+    @pytest.mark.parametrize("n", [1100, 5000])
+    def test_finite_at_extreme_levels(self, n):
+        assert psi_iterate(0.5, n) == 0.5
+        assert psi_iterate(0.0, n) == 0.0
+        for t in (0.1, 0.25, 0.5 - 2.0**-40):
+            assert psi_iterate(t, n) == 0.0  # t 2^-n / (1 - 2t) underflows
+
 
 class TestLowerBound:
     def test_level_zero(self):
@@ -84,6 +100,27 @@ class TestLowerBound:
     @given(st.floats(0.001, 0.45))
     def test_limit_is_plateau_bound(self, eps):
         assert abs(lower_bound(eps, 40) - plateau_bound(eps)) <= 1e-10
+
+    def test_unscaled_form_below_level_1000(self):
+        for eps in (0.0, 0.1, 0.25, 0.4999, 0.5):
+            for n in range(1001):
+                assert lower_bound(eps, n) == eps / (
+                    (1.0 - 2.0 * eps) + 2.0 ** (1 - n) * eps
+                )
+                delta = 0.5 - eps
+                assert lower_bound_gap_form(delta, n) == (0.5 - delta) / (
+                    (2.0 - 2.0 ** (1 - n)) * delta + 2.0 ** (-n)
+                )
+
+    @pytest.mark.parametrize("n", [1100, 5000])
+    def test_extreme_levels(self, n):
+        # at eps = 1/2 the bound is 2^(n-1), past the float range
+        with pytest.raises(TreecapError, match="exceeds the float range"):
+            lower_bound(0.5, n)
+        with pytest.raises(TreecapError, match="exceeds the float range"):
+            lower_bound_gap_form(0.0, n)
+        assert lower_bound(0.25, n) == plateau_bound(0.25)
+        assert lower_bound_gap_form(0.25, n) == plateau_bound(0.25)
 
     def test_doubling_then_plateau_shape(self):
         for delta in (2.0**-3, 2.0**-6, 0.3):

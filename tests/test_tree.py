@@ -10,10 +10,12 @@ from treecap import (
     SetSpecError,
     VertexId,
     boundary_rho,
+    capacity,
     confluent,
+    equal_split,
     prefix_set,
+    random_boundary_set,
     rho,
-    set_algebra,
 )
 
 
@@ -23,11 +25,46 @@ def vertex_ids(max_level=8):
     ).map(lambda t: VertexId(*t))
 
 
-def boundary_sets(max_level=6, max_leaves=10):
-    pairs = st.integers(0, max_level).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+ORACLE_DEPTH = 6
+
+
+def leaf_pairs(max_level=ORACLE_DEPTH, max_leaves=10):
+    return st.lists(
+        st.integers(0, max_level).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+        ),
+        max_size=max_leaves,
     )
-    return st.lists(pairs, max_size=max_leaves).map(BoundarySet.from_full_leaves)
+
+
+def boundary_sets(max_level=6, max_leaves=10):
+    return leaf_pairs(max_level, max_leaves).map(BoundarySet.from_full_leaves)
+
+
+def oracle_sets():
+    """Sets of depth <= 6, built from leaf lists and as random tries."""
+    return st.one_of(
+        leaf_pairs().map(BoundarySet.from_full_leaves),
+        st.integers(0, 2**31).map(
+            lambda seed: random_boundary_set(seed, max_depth=ORACLE_DEPTH)
+        ),
+    )
+
+
+def shadow_mask(n, j):
+    """The shadow of (n, j) as a bit mask over the 64 level-6 arcs."""
+    width = 1 << (ORACLE_DEPTH - n)
+    return ((1 << width) - 1) << (j * width)
+
+
+FULL_MASK = shadow_mask(0, 0)
+
+
+def mask(e):
+    out = 0
+    for n, j in e.full_leaves():
+        out |= shadow_mask(n, j)
+    return out
 
 
 class TestVertexId:
@@ -154,6 +191,12 @@ class TestCanonicalization:
     def test_idempotent(self, e):
         assert BoundarySet.from_full_leaves(e.full_leaves()) == e
 
+    def test_hash_is_structural(self):
+        prefixes = [prefix_set(Fraction(k, 64)) for k in range(65)]
+        assert len({hash(e) for e in prefixes}) == 65
+        rebuilt = BoundarySet.from_full_leaves([(3, 2), (2, 0)])
+        assert hash(rebuilt) == hash(prefixes[24])
+
     @given(boundary_sets())
     def test_no_mergeable_siblings(self, e):
         leaves = set(e.full_leaves())
@@ -164,20 +207,16 @@ class TestCanonicalization:
 class TestSetAlgebra:
     def test_union_identity(self):
         x = BoundarySet.from_full_leaves([(2, 1)])
-        assert set_algebra(BoundarySet.empty(), x, "union") == x
+        assert BoundarySet.empty().union(x) == x
 
     def test_intersection_identity(self):
         x = BoundarySet.from_full_leaves([(2, 1), (3, 1)])
-        assert set_algebra(BoundarySet.full(), x, "intersection") == x
+        assert BoundarySet.full().intersection(x) == x
 
     def test_two_shadows_tile(self):
         half = prefix_set(Fraction(1, 2))
         other = BoundarySet.shadow(VertexId(1, 1))
         assert half.union(other).is_full()
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            set_algebra(BoundarySet.full(), BoundarySet.full(), "xor")
 
     def test_touching_arcs_intersect_to_null(self):
         # adjacent closed arcs share one endpoint; single points carry no
@@ -195,6 +234,27 @@ class TestSetAlgebra:
         assert i.is_subset_of(a) and i.is_subset_of(b)
         assert u.union(a) == u
         assert i.intersection(a) == i
+
+    @given(oracle_sets(), oracle_sets())
+    def test_matches_bit_mask_oracle(self, a, b):
+        ma, mb = mask(a), mask(b)
+        u, i = a.union(b), a.intersection(b)
+        assert mask(u) == ma | mb
+        assert mask(i) == ma & mb
+        assert a.is_subset_of(b) == (ma & ~mb == 0)
+        assert (a == b) == (ma == mb)
+        # equality is structural, so these also need canonical results
+        assert (u == a) == (ma | mb == ma) and (i == a) == (ma & mb == ma)
+        assert u.is_full() == (ma | mb == FULL_MASK)
+        assert i.is_empty() == (ma & mb == 0)
+
+    @given(leaf_pairs(), leaf_pairs())
+    def test_from_full_leaves_matches_bit_mask_oracle(self, pairs, more):
+        pairs = pairs + more + pairs[:2]  # overlapping and repeated pairs too
+        expected = 0
+        for n, j in pairs:
+            expected |= shadow_mask(n, j)
+        assert mask(BoundarySet.from_full_leaves(pairs)) == expected
 
     @given(boundary_sets(max_level=5), boundary_sets(max_level=5))
     def test_commutative(self, a, b):
@@ -239,3 +299,21 @@ class TestShadow:
     def test_shadow_arc(self, v):
         s = BoundarySet.shadow(v)
         assert s.intervals() == [v.arc()]
+
+
+class TestSharedTrieScale:
+    def test_carrier_algebra_works_on_the_shared_trie(self):
+        # about 8.2k distinct nodes but about 33M trie positions, which take
+        # over a minute to walk
+        carrier = equal_split(0.25, 12).carrier
+        shadow = BoundarySet.shadow(VertexId(14, 12344))  # holds one piece
+        joined = carrier.union(shadow)
+        assert joined.node_count() <= carrier.node_count() + 15
+        assert carrier.is_subset_of(joined) and shadow.is_subset_of(joined)
+        met = carrier.intersection(shadow)
+        assert not met.is_empty()
+        assert met.is_subset_of(carrier) and met.is_subset_of(shadow)
+        assert capacity(met) <= min(capacity(carrier), capacity(shadow))
+        rebuilt = equal_split(0.25, 12).carrier
+        assert rebuilt is not carrier and rebuilt._root is not carrier._root
+        assert rebuilt == carrier and hash(rebuilt) == hash(carrier)
