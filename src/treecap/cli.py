@@ -323,6 +323,9 @@ def main(argv=None) -> int:
     except (TreecapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller grid or set", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

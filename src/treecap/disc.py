@@ -12,8 +12,13 @@ direction, logarithmic band widths in the angular direction).  Minimizing the
 resulting quadratic form is a 5-point discrete Laplace problem with natural
 boundary conditions on the free part of the circle.  Its operator is circulant
 in the angle, so the interior rings are eliminated exactly per Fourier mode,
-leaving a circulant system on the unit-circle ring that is applied by FFT and
-solved by conjugate gradients on the free ring nodes.
+keeping one row of the elimination at a time.  That leaves a circulant system
+on the unit-circle ring, applied by FFT and solved on the free ring nodes by
+conjugate gradients preconditioned with the inverse circulant (the
+capacitance-matrix method of Proskurowski and Widlund, with a circulant
+preconditioner after Strang).  The capacity is the ring's quadratic form, so a
+solve needs memory only in the angular cell count; the interior field is
+recovered by back-substitution per mode when it is asked for.
 
 Fields are ``(rings, columns)`` arrays: ring 0 lies on the inner plate and the
 last ring on the unit circle; columns are angular cells with periodic
@@ -25,12 +30,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateSetError, MisalignedArcError
+from .errors import (
+    ConvergenceError,
+    DegenerateSetError,
+    MisalignedArcError,
+    TreecapError,
+)
 from .tree import BoundarySet
+
+# Largest array, in values, that a solve or a field recovery may allocate
+# (1 GiB of float64); larger grids fail up front instead of in the allocator.
+MAX_ARRAY_ELEMENTS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -96,10 +111,14 @@ class CondenserProblem:
 
 @dataclass
 class DiscSolution:
-    """Solved condenser: capacity, potential field, and the grid it lives on."""
+    """Solved condenser: capacity, unit-circle ring values, and the grid they live on.
+
+    ``ring`` holds the potential on the unit circle.  The interior field
+    ``potential`` is recovered from it on first access and then cached.
+    """
 
     capacity: float
-    potential: np.ndarray = field(repr=False)
+    ring: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
     n_angular: int = 0
     iterations: int = 0
@@ -107,11 +126,26 @@ class DiscSolution:
     _kr: np.ndarray = field(repr=False, default=None)
     _kt: np.ndarray = field(repr=False, default=None)
 
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """The ``(rings, columns)`` potential field, by back-substitution per mode.
+
+        Each angular mode of ring ``i`` is the ring's mode times its gain
+        (``_ring_gains``), which minimizes the interior energy for the given
+        ring values.  Costs one symbol sweep and ``len(radii) * n_angular``
+        values of memory, which must stay within ``MAX_ARRAY_ELEMENTS``.
+        """
+        _check_size(len(self.radii) * self.n_angular, "the potential field")
+        gains = _ring_gains(self._kr, self._kt, self.n_angular)
+        u = np.fft.irfft(gains * np.fft.rfft(self.ring), n=self.n_angular, axis=1)
+        u[-1] = self.ring
+        return u
+
     def flux_capacity(self, gap: int) -> float:
         """Capacity measured as the flux through the circle between rings ``gap`` and ``gap+1``.
 
         Equals ``capacity`` up to solver tolerance for every interior gap (the
-        discrete Green identity).
+        discrete Green identity).  Builds the field on first use.
         """
         u, kr = self.potential, self._kr
         return float((kr[gap] * (u[gap + 1] - u[gap])).sum()) / (2.0 * math.pi)
@@ -132,6 +166,15 @@ class DiscSolution:
             "rings": len(self.radii),
             "n_angular": self.n_angular,
         }
+
+
+def _check_size(values: int, what: str) -> None:
+    """Refuse, before allocating it, an array of more than ``MAX_ARRAY_ELEMENTS`` values."""
+    if values > MAX_ARRAY_ELEMENTS:
+        raise TreecapError(
+            f"{what} needs arrays of {values} values, above the limit of "
+            f"{MAX_ARRAY_ELEMENTS}; use a smaller grid"
+        )
 
 
 def _radial_nodes(r: float, layers: int, n_angular: int) -> np.ndarray:
@@ -176,14 +219,7 @@ def _plate_mask(arcs, n_angular: int, arc_resolution: int) -> np.ndarray:
     return mask
 
 
-def _grid_energy(u: np.ndarray, kr: np.ndarray, kt: np.ndarray) -> float:
-    """Raw Dirichlet energy of a grid field: sum of conductance-weighted squared drops."""
-    radial = kr[:, None] * (u[1:, :] - u[:-1, :]) ** 2
-    angular = kt[:, None] * (np.roll(u, -1, axis=1) - u) ** 2
-    return float(radial.sum() + angular.sum())
-
-
-def _ring_reduction(kr: np.ndarray, kt: np.ndarray, n_angular: int):
+def _ring_sweep(kr: np.ndarray, kt: np.ndarray, n_angular: int):
     """Eliminate the interior rings exactly, one angular Fourier mode at a time.
 
     The grid operator is circulant in the angle, so in mode ``k`` (angular
@@ -192,23 +228,42 @@ def _ring_reduction(kr: np.ndarray, kt: np.ndarray, n_angular: int):
     below it are minimized out (ring 0 is grounded): ``s[1] = kr[0] + kt[1] mu``
     and ``s[i+1] = s[i] kr[i] / (s[i] + kr[i]) + kt[i+1] mu``.
 
-    Returns ``(symbol, gains)``: ``symbol = s[-1]`` is the Schur complement of
-    the grid operator onto the unit-circle ring, and ``gains[i]`` is the factor
-    by which ring ``i``'s mode follows the outer ring's in the minimizer
-    (1 on the outer ring, 0 on the grounded one).
+    Yields the rows ``s[1], ..., s[R]`` over the modes ``0..N/2`` one at a
+    time, so a caller that keeps only the last row needs O(N) memory.  ``mu``
+    is evaluated as ``4 sin^2(pi k / N)``: the difference form loses digits
+    to cancellation at low modes on fine grids (4e-9 relative at k = 1 for
+    N = 2^16), and the ring-form capacity inherits a symbol error at first
+    order.
+    """
+    modes = np.arange(n_angular // 2 + 1)
+    mu = 4.0 * np.sin(math.pi * modes / n_angular) ** 2
+    s = kr[0] + kt[1] * mu
+    yield s
+    for i in range(1, len(kr)):
+        s = s * kr[i] / (s + kr[i]) + kt[i + 1] * mu
+        yield s
+
+
+def _ring_symbol(kr: np.ndarray, kt: np.ndarray, n_angular: int) -> np.ndarray:
+    """``s[R]``: the Schur complement of the grid operator onto the unit-circle ring, per mode."""
+    for s in _ring_sweep(kr, kt, n_angular):
+        pass
+    return s
+
+
+def _ring_gains(kr: np.ndarray, kt: np.ndarray, n_angular: int) -> np.ndarray:
+    """Per mode, the factor by which ring ``i`` follows the unit-circle ring in the minimizer.
+
+    ``gains[i]`` is the product of ``kr[m] / (s[m] + kr[m])`` over
+    ``m = i..R-1``: 1 on the outer ring and 0 on the grounded one.
     """
     rings = len(kr) + 1
-    modes = np.arange(n_angular // 2 + 1)
-    mu = 2.0 - 2.0 * np.cos(2.0 * math.pi * modes / n_angular)
-    s = np.empty((rings, mu.size))
-    s[1] = kr[0] + kt[1] * mu
-    for i in range(1, rings - 1):
-        s[i + 1] = s[i] * kr[i] / (s[i] + kr[i]) + kt[i + 1] * mu
-    gains = np.zeros_like(s)
+    gains = np.zeros((rings, n_angular // 2 + 1))
     gains[-1] = 1.0
-    ratios = kr[1:, None] / (s[1:-1] + kr[1:, None])  # ring i over ring i + 1
-    gains[1:-1] = np.cumprod(ratios[::-1], axis=0)[::-1]
-    return s[-1], gains
+    for i, s in zip(range(1, rings - 1), _ring_sweep(kr, kt, n_angular)):
+        gains[i] = kr[i] / (s + kr[i])  # ring i over ring i + 1
+    gains[1:-1] = np.cumprod(gains[-2:0:-1], axis=0)[::-1]
+    return gains
 
 
 def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSolution:
@@ -217,67 +272,82 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     The discrete energy is minimized over potentials fixed to 1 on the arc
     plate's boundary nodes and 0 on the inner circle, free elsewhere (which
     realizes the zero-flux condition on the rest of the unit circle).  Returns
-    the discrete capacity (energy / 2 pi) together with the potential field.
+    the discrete capacity (energy / 2 pi) and the potential on the unit circle;
+    the interior field is built only when ``potential`` is read.
 
-    The interior rings are eliminated exactly mode by mode (``_ring_reduction``),
-    which leaves a circulant system on the unit-circle ring, applied by FFT.
-    Its free nodes are solved by conjugate gradients (the circulant's diagonal
-    is constant, so Jacobi preconditioning is a plain rescaling and is
-    omitted); ``grid.tol`` bounds the residual relative to that of the plate
-    values alone, and ``iterations`` and ``residual`` report this boundary
-    iteration.  The interior field is then recovered by back-substitution per
-    mode.  The result is the same discrete minimum as a solve of the full
-    2D quadratic form, not an approximation of it.
+    The interior rings are eliminated exactly mode by mode (``_ring_sweep``,
+    keeping one row), which leaves a circulant system on the unit-circle ring
+    with symbol ``S``, applied by FFT.  Its free nodes are solved by
+    conjugate gradients preconditioned with the inverse circulant: a residual
+    is padded with 0 on the plate, multiplied by ``1/S`` in Fourier space and
+    restricted to the free nodes, which is symmetric positive definite because
+    ``S`` is.  ``grid.tol`` bounds the unpreconditioned residual relative to
+    that of the plate values alone, and ``iterations`` and ``residual`` report
+    this boundary iteration.  The capacity is the ring quadratic form
+    ``sum_k w_k S_k |g_k|^2 / (2 pi N)`` of the ring values' modes ``g_k``
+    (``w_k`` is 1 at k = 0 and N/2 and 2 otherwise), which equals the energy
+    of the minimizing interior field: the same discrete minimum as a solve of
+    the full 2D quadratic form, not an approximation of it.  Memory is O(N)
+    in the angular cell count.
     """
-    rho = _radial_nodes(problem.inner_radius, grid.n_radial, grid.n_angular)
-    kr, kt = _conductances(rho, grid.n_angular)
     cols = grid.n_angular
+    _check_size(max(cols, grid.n_radial + 1), f"a {cols}x{grid.n_radial} grid")
+    rho = _radial_nodes(problem.inner_radius, grid.n_radial, cols)
+    kr, kt = _conductances(rho, cols)
     plate = _plate_mask(problem.arcs, cols, problem.arc_resolution)
     free = ~plate
-    symbol, gains = _ring_reduction(kr, kt, cols)
+    symbol = _ring_symbol(kr, kt, cols)
+    inverse = 1.0 / symbol
 
-    def reduced_free(ring_values):
-        """The ring operator applied to a ring field, read on the free nodes."""
-        return np.fft.irfft(symbol * np.fft.rfft(ring_values), n=cols)[free]
+    work = np.zeros(cols)
+
+    def on_free(values, weights):
+        """The circulant with per-mode ``weights`` applied to free-node values
+        padded with 0 on the plate, read on the free nodes."""
+        work[free] = values
+        return np.fft.irfft(weights * np.fft.rfft(work), n=cols)[free]
 
     ring = plate.astype(float)
-    work = np.zeros(cols)
     # residual with the free nodes at 0: the plate values' pull on them
-    r = -reduced_free(ring)
+    r = -np.fft.irfft(symbol * np.fft.rfft(ring), n=cols)[free]
     x = np.zeros_like(r)
-    rr = float(r @ r)
-    residual = math.sqrt(rr)
+    residual = math.sqrt(float(r @ r))
     target = grid.tol * residual
     iterations = 0
 
     if residual > 0.0:
-        p = r.copy()
+        z = on_free(r, inverse)
+        p = z.copy()
+        rz = float(r @ z)
         for iterations in range(1, grid.max_iter + 1):
-            work[free] = p
-            q = reduced_free(work)
-            alpha = rr / float(p @ q)
+            q = on_free(p, symbol)
+            alpha = rz / float(p @ q)
             x += alpha * p
             r -= alpha * q
-            rr_next = float(r @ r)
-            residual = math.sqrt(rr_next)
+            residual = math.sqrt(float(r @ r))
             if residual <= target:
                 break
-            p *= rr_next / rr
-            p += r
-            rr = rr_next
+            z = on_free(r, inverse)
+            rz_next = float(r @ z)
+            p *= rz_next / rz
+            p += z
+            rz = rz_next
         else:
             raise ConvergenceError(
-                f"conjugate gradient did not reach residual {target:.3e} in "
-                f"{grid.max_iter} iterations (residual {residual:.3e})",
+                f"preconditioned conjugate gradient did not reach residual "
+                f"{target:.3e} in {grid.max_iter} iterations (residual {residual:.3e})",
                 residual=residual,
                 iterations=grid.max_iter,
             )
 
     ring[free] = x
-    u = np.fft.irfft(gains * np.fft.rfft(ring), n=cols, axis=1)
-    u[-1] = ring
-    cap = _grid_energy(u, kr, kt) / (2.0 * math.pi)
-    return DiscSolution(cap, u, rho, cols, iterations, residual, kr, kt)
+    modes = np.fft.rfft(ring)
+    power = symbol * (modes.real**2 + modes.imag**2)
+    # modes 1..N/2-1 stand for themselves and their conjugates
+    energy = float(2.0 * power.sum() - power[0] - power[-1]) / cols
+    return DiscSolution(
+        energy / (2.0 * math.pi), ring, rho, cols, iterations, residual, kr, kt
+    )
 
 
 def capacity_of_set(e: BoundarySet, grid: SolverGrid = SolverGrid()) -> float:

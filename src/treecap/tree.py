@@ -7,10 +7,10 @@ set is the union of the shadows of the Full leaves, equivalently a finite
 union of closed dyadic arcs.  Tries are canonical (no two sibling leaves share
 a tag) and immutable, so subtrees can be shared freely between sets.
 
-The trie is the only representation.  Two traversals serve every caller:
-`_fold` computes a value per distinct node bottom-up (capacities, hash,
-resolution), and `_apply` combines two tries by a memoized node-pair walk
-(union, intersection, and construction from leaves).  Both cost time in the
+The trie is the only representation.  `_fold` computes a value per distinct
+node bottom-up (capacities, hash, resolution), `_apply` combines two tries by
+a memoized node-pair walk (union, intersection), and `_trie_of_arcs` builds a
+trie from sorted leaves in one pass.  The two traversals cost time in the
 distinct nodes of the shared trie, not in its positions; only leaf
 enumeration and serialization grow with the positions.
 """
@@ -205,6 +205,39 @@ def _apply(a: _Node, b: _Node, union: bool) -> _Node:
     return memo[(a, b)]
 
 
+def _trie_of_arcs(arcs: list[VertexId]) -> _Node:
+    """Canonical trie of dyadic arcs sorted left to right and pairwise disjoint.
+
+    A depth-first walk that descends only into the vertex holding the next
+    arc and closes every other subtree as Empty, so it visits each node of the
+    result once: time linear in the trie, without recursion.
+    """
+    pending = []  # [level, index, left subtree or None] of ancestors being built
+    level = index = p = 0
+    while True:
+        arc = arcs[p] if p < len(arcs) else None
+        if arc is not None and arc.level >= level and (
+            arc.index >> (arc.level - level) == index
+        ):
+            if arc.level > level:
+                pending.append([level, index, None])
+                level, index = level + 1, 2 * index
+                continue
+            node = _FULL_LEAF
+            p += 1
+        else:
+            node = _EMPTY_LEAF
+        # node is finished: join it into every parent whose right child it
+        # completes, then start the right child of the nearest open parent
+        while pending and pending[-1][2] is not None:
+            node = _join(pending.pop()[2], node)
+        if not pending:
+            return node
+        parent = pending[-1]
+        parent[2] = node
+        level, index = parent[0] + 1, 2 * parent[1] + 1
+
+
 class BoundarySet:
     """A closed subset of the tree boundary, canonically encoded as a trie.
 
@@ -242,12 +275,20 @@ class BoundarySet:
 
     @staticmethod
     def from_full_leaves(pairs: Iterable[tuple[int, int]]) -> "BoundarySet":
-        """Union of the shadows S((n, j)) for the given (possibly overlapping) pairs."""
-        # dyadic arcs nest or are disjoint, so each union walks one path
-        root = _EMPTY_LEAF
-        for n, j in pairs:
-            root = _apply(root, BoundarySet.shadow(VertexId(n, j))._root, True)
-        return BoundarySet(root)
+        """Union of the shadows S((n, j)) for the given (possibly overlapping) pairs.
+
+        Dyadic arcs nest or are disjoint, so sorting by left endpoint (coarser
+        first on ties) puts every nested arc right after the arc that holds
+        it; those are dropped and the rest built in one pass (`_trie_of_arcs`).
+        """
+        arcs = [VertexId(n, j) for n, j in pairs]
+        depth = max((v.level for v in arcs), default=0)
+        arcs.sort(key=lambda v: (v.index << (depth - v.level), v.level))
+        kept = []
+        for v in arcs:
+            if not (kept and kept[-1].is_ancestor_of(v)):
+                kept.append(v)
+        return BoundarySet(_trie_of_arcs(kept))
 
     # -- basic queries ------------------------------------------------------
 

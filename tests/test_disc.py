@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from treecap import (
     ConvergenceError,
     DegenerateSetError,
     MisalignedArcError,
+    TreecapError,
     VertexId,
     cantor_set,
+    disc,
     prefix_set,
 )
 from treecap.disc import (
@@ -19,7 +22,6 @@ from treecap.disc import (
     condenser_profile,
     solve,
     _conductances,
-    _grid_energy,
     _plate_mask,
     _radial_nodes,
 )
@@ -144,6 +146,13 @@ class TestSolutionProperties:
         assert obj["rings"] == 25 and obj["n_angular"] == 128
 
 
+def _grid_energy(u, kr, kt):
+    """Raw Dirichlet energy of a grid field: sum of conductance-weighted squared drops."""
+    radial = kr[:, None] * (u[1:, :] - u[:-1, :]) ** 2
+    angular = kt[:, None] * (np.roll(u, -1, axis=1) - u) ** 2
+    return float(radial.sum() + angular.sum())
+
+
 def grid_laplacian(kr, kt, shape):
     """The full 2D quadratic form as a dense graph Laplacian, assembled edge by
     edge: radial edges (i, j)-(i+1, j) with conductance kr[i], angular edges
@@ -197,12 +206,15 @@ ORACLE_CASES = [
 ]
 
 
+oracle_cases = pytest.mark.parametrize(
+    "e, n_angular, n_radial, r",
+    [case[1:] for case in ORACLE_CASES],
+    ids=[f"{c[0]}-{c[2]}x{c[3]}-r{c[4]}" for c in ORACLE_CASES],
+)
+
+
 class TestDenseOracle:
-    @pytest.mark.parametrize(
-        "e, n_angular, n_radial, r",
-        [case[1:] for case in ORACLE_CASES],
-        ids=[f"{c[0]}-{c[2]}x{c[3]}-r{c[4]}" for c in ORACLE_CASES],
-    )
+    @oracle_cases
     def test_matches_dense_solve(self, e, n_angular, n_radial, r):
         problem = CondenserProblem.from_set(e, r)
         grid = SolverGrid(n_angular, n_radial, tol=1e-13)
@@ -210,6 +222,62 @@ class TestDenseOracle:
         sol = solve(problem, grid)
         assert abs(sol.capacity - cap) <= 1e-10 * cap
         assert np.max(np.abs(sol.potential - u)) <= 1e-10 * np.max(np.abs(u))
+
+    @oracle_cases
+    def test_green_identity(self, e, n_angular, n_radial, r):
+        # the ring-form capacity is the energy of the recovered interior field
+        sol = solve(CondenserProblem.from_set(e, r), SolverGrid(n_angular, n_radial))
+        energy = _grid_energy(sol.potential, sol._kr, sol._kt) / (2.0 * math.pi)
+        assert abs(energy - sol.capacity) <= 1e-10 * sol.capacity
+
+
+class TestLargeGrid:
+    """2^16 angular cells: the preconditioned ring solve at the deep-compare size."""
+
+    def test_full_circle_formula(self):
+        exact = 1.0 / math.log(2.0)
+        got = solve(full_problem(0.5), SolverGrid(65536, 200)).capacity
+        assert abs(got - exact) / exact < 0.02
+
+    def test_flux_identity_and_iterations(self):
+        problem = CondenserProblem.from_set(prefix_set(0.375), 0.9375)
+        sol = solve(problem, SolverGrid(65536, 200))
+        # iteration counts repeat exactly; plain CG takes about 470 here
+        assert sol.iterations <= 20
+        for gap in (0, 100, 199):
+            assert abs(sol.flux_capacity(gap) - sol.capacity) <= 1e-6 * sol.capacity
+
+    def test_capacity_needs_only_ring_memory(self):
+        # one (R + 1) x N float array of this grid alone would take 840 MB
+        problem = CondenserProblem.from_set(prefix_set(0.375), 0.9375)
+        tracemalloc.start()
+        try:
+            sol = solve(problem, SolverGrid(65536, 1600))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.capacity > 0.0
+        assert "potential" not in vars(sol)
+        assert peak < 64 * 2**20
+
+
+class TestSizeGuard:
+    def test_huge_ring_fails_before_allocating(self):
+        problem = full_problem(0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreecapError, match="smaller grid"):
+                solve(problem, SolverGrid(1 << 40, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_field_is_checked_when_first_read(self, monkeypatch):
+        sol = solve(CondenserProblem.from_set(prefix_set(0.5), 0.5), FAST)
+        monkeypatch.setattr(disc, "MAX_ARRAY_ELEMENTS", FAST.n_angular)
+        with pytest.raises(TreecapError, match="potential field"):
+            sol.potential
 
 
 class TestWrappers:

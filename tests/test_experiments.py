@@ -6,6 +6,7 @@ import math
 import pytest
 
 from treecap import BoundarySet, SetSpecError, VertexId, capacity, prefix_set
+from treecap import cli
 from treecap.cli import main
 from treecap.disc import SolverGrid
 from treecap.experiments import (
@@ -227,6 +228,20 @@ class TestCli:
         assert main(argv + ["--exact"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert rows[-1] == {"n": 1100, "value": str(1 << 1098)}
+
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch):
+        argv = ["solve-disc", "--set", "full", "--inner-radius", "0.5"]
+        # a grid over the size guard fails up front with a reason
+        assert main(argv + ["--grid-angular", str(1 << 40), "--grid-radial", "4"]) == 2
+        assert "smaller grid" in capsys.readouterr().err
+
+        def exhausted(problem, grid):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_experiment_compare_cli(self, capsys):
         code = main(

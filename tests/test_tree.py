@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -190,6 +191,17 @@ class TestCanonicalization:
     @given(boundary_sets())
     def test_idempotent(self, e):
         assert BoundarySet.from_full_leaves(e.full_leaves()) == e
+
+    def test_deep_leaf_list_roundtrip(self):
+        # a 4000-level path trie, about 2000 leaves: the build from sorted
+        # leaves is linear where a union of shadows was quadratic in depth
+        depth = 4000
+        t = Fraction(2 * Random(depth).getrandbits(depth - 1) + 1, 1 << depth)
+        e = prefix_set(t, max_resolution=None)
+        leaves = e.full_leaves()
+        rebuilt = BoundarySet.from_full_leaves(leaves)
+        assert rebuilt == e
+        assert rebuilt.full_leaves() == leaves
 
     def test_hash_is_structural(self):
         prefixes = [prefix_set(Fraction(k, 64)) for k in range(65)]
