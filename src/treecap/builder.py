@@ -188,10 +188,10 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
     fractional-linear bracket map, and runs of 0-bits through uniform regions
     are composed in closed form.
 
-    Returns ``(set, value, None)`` on success.  When the bracket contracts too
-    slowly (its gap decays only harmonically around some targets) the search
-    stops after an iteration budget and instead returns ``(None, None, state)``
-    so the caller can finish the job by re-targeting the cut subtree.
+    Returns ``(set, None)`` on success.  When the bracket contracts too slowly
+    (its gap decays only harmonically around some targets) the search stops
+    after an iteration budget and instead returns ``(None, state)`` so the
+    caller can finish the job by re-targeting the cut subtree.
     """
     base_set = base if base is not None else BoundarySet.full()
     memo = _memo(base_set, False)  # every node on the cut path, leaves too
@@ -215,20 +215,16 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
 
         if f_lo == target:
-            return _closure_set(bits, False, base_root, mode), f_lo, None
+            return _closure_set(bits, False, base_root, mode), None
         if f_hi == target:
-            return _closure_set(bits, True, base_root, mode), f_hi, None
+            return _closure_set(bits, True, base_root, mode), None
         near_lo = abs(f_lo - target) <= inner_tol
         near_hi = abs(f_hi - target) <= inner_tol
         if near_lo or near_hi:
             pick_hi = near_hi and (
                 not near_lo or abs(f_hi - target) < abs(f_lo - target)
             )
-            return (
-                _closure_set(bits, pick_hi, base_root, mode),
-                f_hi if pick_hi else f_lo,
-                None,
-            )
+            return _closure_set(bits, pick_hi, base_root, mode), None
         if v_lo == v_hi:
             # the cut crossed into a region where the value is constant, and
             # the plateau value itself is out of tolerance
@@ -242,7 +238,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         ):
             # deep cut with accumulated sensitivity: rebuilding the subtree
             # below the cut at relaxed tolerance beats refining further
-            return None, None, (bits, (ma, mb, mc, md), ptr)
+            return None, (bits, (ma, mb, mc, md), ptr)
         if len(bits) >= max_resolution:
             raise ToleranceError(
                 f"could not reach tolerance {tol} within resolution "
@@ -292,7 +288,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
 
         if f_mid == target:
             bits.append(1)
-            return _closure_set(bits, False, base_root, mode), f_mid, None
+            return _closure_set(bits, False, base_root, mode), None
         if f_mid <= target:
             bit = 1
             a = memo[left] if mode == "trim" else 0.5
@@ -307,7 +303,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         norm = max(ma, mb, mc, md)
         ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
 
-    return None, None, (bits, (ma, mb, mc, md), ptr)
+    return None, (bits, (ma, mb, mc, md), ptr)
 
 
 def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH):
@@ -319,9 +315,9 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
     tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion gains
     accuracy geometrically per carve level.
     """
-    result, value, state = _bisect_cut(target, tol, mode, base, max_resolution)
+    result, state = _bisect_cut(target, tol, mode, base, max_resolution)
     if result is not None:
-        return result, value
+        return result
     bits, matrix, ptr = state
 
     base_set = base if base is not None else BoundarySet.full()
@@ -340,13 +336,10 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
             bracket=None,
         )
     x_star, tol_local = plan
-    site, _ = _solve_cut(
+    site = _solve_cut(
         x_star, tol_local, "trim", None, max_resolution, carve_depth - 1
     )
-    carved = _closure_set(
-        bits, None, base_set._root, mode, site_node=site._root
-    )
-    return carved, None
+    return _closure_set(bits, None, base_set._root, mode, site_node=site._root)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def set_of_capacity(
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     try:
-        result, _ = _solve_cut(target, tol, "trim", None, max_resolution)
+        result = _solve_cut(target, tol, "trim", None, max_resolution)
     except ToleranceError as exc:
         result = _split_fallback(target, tol, max_resolution, exc)
     final = capacity(result)
@@ -426,7 +419,7 @@ def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
         if not 1e-6 < rest < 0.5 - 1e-9:
             continue
         try:
-            right, _ = _solve_cut(rest, tol_sub, "trim", None, max_resolution)
+            right = _solve_cut(rest, tol_sub, "trim", None, max_resolution)
         except ToleranceError:
             continue
         return BoundarySet(_join(piece._root, right._root))
@@ -458,7 +451,7 @@ def calibrated_set(
         return base
     mode = "trim" if c0 > target else "union"
     try:
-        result, _ = _solve_cut(target, tol, mode, base, max_resolution)
+        result = _solve_cut(target, tol, mode, base, max_resolution)
     except ToleranceError as exc:
         raise CalibrationError(
             f"cannot calibrate set of capacity {c0} to {target}: {exc}"

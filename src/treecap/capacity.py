@@ -167,28 +167,24 @@ class CapacityTable:
         ]
 
 
-def _positions(root):
-    """(vertex, node) pairs for every explicit trie position, parents first."""
-    out = []
-    stack = [(root, 0, 0)]
-    while stack:
-        node, level, index = stack.pop()
-        out.append((VertexId(level, index), node))
-        if node.tag == _INTERNAL_TAG:
-            stack.append((node.right, level + 1, 2 * index + 1))
-            stack.append((node.left, level + 1, 2 * index))
-    return out
-
-
 def capacity_table(e: BoundarySet, exact: bool = False) -> CapacityTable:
     """Materialized capacity table; size is the number of trie positions."""
     value = _value_of(e, exact)
-    return CapacityTable(e, {v: value(node) for v, node in _positions(e._root)})
+    values = {}
+    stack = [(e._root, 0, 0)]
+    while stack:
+        node, level, index = stack.pop()
+        values[VertexId(level, index)] = value(node)
+        if node.tag == _INTERNAL_TAG:
+            stack.append((node.right, level + 1, 2 * index + 1))
+            stack.append((node.left, level + 1, 2 * index))
+    return CapacityTable(e, values)
 
 
 @dataclass
 class FluxTable:
-    """Extremal flux ``h`` and its path sums ``H`` over explicit trie positions.
+    """Subtree capacities ``c``, extremal flux ``h`` and its path sums ``H``
+    over explicit trie positions.
 
     Below a Full leaf the continuation is implicit: ``h`` halves at every
     descent and the deficit ``1 - H`` halves with it, so queries at implicit
@@ -196,9 +192,13 @@ class FluxTable:
     """
 
     boundary_set: BoundarySet
+    c: dict[VertexId, object] = field(repr=False)
     h: dict[VertexId, object] = field(repr=False)
     H: dict[VertexId, object] = field(repr=False)
-    root_capacity: object = 0.0
+
+    @property
+    def root_capacity(self):
+        return self.c[VertexId(0, 0)]
 
     def h_at(self, vertex: VertexId):
         node, prefix = self._descend(vertex)
@@ -232,11 +232,10 @@ class FluxTable:
         return node, VertexId(level, index)
 
     def to_json_obj(self):
-        caps = capacity_table(self.boundary_set)
         return [
             {
                 "vertex": [v.level, v.index],
-                "c": _num(caps.values[v]),
+                "c": _num(self.c[v]),
                 "h": _num(self.h[v]),
                 "H": _num(self.H[v]),
             }
@@ -260,6 +259,7 @@ def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
         raise DegenerateSetError(
             "the set has zero capacity; the extremal flux is identically zero"
         )
+    c = {VertexId(0, 0): c_root}
     h = {VertexId(0, 0): c_root}
     H = {VertexId(0, 0): c_root}
     stack = [(root, 0, 0, c_root)]  # node, level, index, H at node
@@ -269,12 +269,14 @@ def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
             continue
         deficit = one - h_sum
         for child, j in ((node.left, 2 * index), (node.right, 2 * index + 1)):
-            hc = deficit * cap(child)
+            cc = cap(child)
+            hc = deficit * cc
             v = VertexId(level + 1, j)
+            c[v] = cc
             h[v] = hc
             H[v] = h_sum + hc
             stack.append((child, level + 1, j, h_sum + hc))
-    return FluxTable(e, h, H, c_root)
+    return FluxTable(e, c, h, H)
 
 
 def energy(flux: FluxTable):
@@ -285,11 +287,9 @@ def energy(flux: FluxTable):
     the capacity of the underlying set.
     """
     total = sum(value * value for value in flux.h.values())
-    root = flux.boundary_set._root
-    for v, node in _positions(root):
-        if node.tag == _FULL_TAG:
-            hv = flux.h[v]
-            total += hv * hv
+    for level, index in flux.boundary_set.full_leaves():
+        hv = flux.h[VertexId(level, index)]
+        total += hv * hv
     return total
 
 
@@ -319,12 +319,8 @@ class EquilibriumMeasure:
 def equilibrium_measure(e: BoundarySet, exact: bool = False) -> EquilibriumMeasure:
     """The measure whose shadow masses equal the extremal flux; total mass = capacity."""
     flux = extremal(e, exact=exact)
-    masses = {
-        v: flux.h[v]
-        for v, node in _positions(e._root)
-        if node.tag == _FULL_TAG
-    }
-    return EquilibriumMeasure(e, masses, flux)
+    full = [VertexId(level, index) for level, index in e.full_leaves()]
+    return EquilibriumMeasure(e, {v: flux.h[v] for v in full}, flux)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +343,12 @@ def brute_force_capacity(e: BoundarySet, depth: int) -> float:
             f"set resolution {e.resolution} exceeds brute-force depth {depth}"
         )
 
-    full_terminals = _terminal_region_indices(e._root, depth)
+    # level-depth vertices inside the Full region, in arc order
+    full_terminals = [
+        j
+        for level, index in e.full_leaves()
+        for j in range(index << (depth - level), (index + 1) << (depth - level))
+    ]
     if not full_terminals:
         raise DegenerateSetError(
             "empty constraint set: the boundary set is null at this depth"
@@ -382,22 +383,6 @@ def brute_force_capacity(e: BoundarySet, depth: int) -> float:
     solution = np.linalg.solve(kkt, rhs)
     x = solution[:n_vars]
     return float(x @ (q_diag * x))
-
-
-def _terminal_region_indices(root, depth: int) -> list[int]:
-    """Indices of level-``depth`` vertices lying inside the Full region."""
-    out = []
-    stack = [(root, 0, 0)]
-    while stack:
-        node, level, index = stack.pop()
-        if node.tag == _FULL_TAG:
-            gap = depth - level
-            out.extend(range(index << gap, (index + 1) << gap))
-        elif node.tag == _INTERNAL_TAG:
-            stack.append((node.left, level + 1, 2 * index))
-            stack.append((node.right, level + 1, 2 * index + 1))
-    out.sort()
-    return out
 
 
 def _num(value):

@@ -25,7 +25,7 @@ import csv
 import json
 import sys
 
-from . import __version__
+from . import __version__, experiments
 from .builder import equal_split, set_of_capacity
 from .capacity import (
     capacity,
@@ -36,15 +36,7 @@ from .capacity import (
 )
 from .disc import CondenserProblem, SolverGrid, solve
 from .errors import TreecapError
-from .experiments import (
-    parse_set_spec,
-    rows_to_csv,
-    run_blowup,
-    run_compare,
-    run_conjecture,
-    run_lowerbound,
-    run_plateau,
-)
+from .experiments import parse_set_spec, rows_to_csv
 
 
 def _add_output_flags(parser):
@@ -65,16 +57,15 @@ def _add_grid_flags(parser):
     )
 
 
+def _add_set_flags(parser):
+    parser.add_argument("--set", required=True, help="set specification")
+    parser.add_argument(
+        "--tol", type=float, default=1e-9, help="tolerance for cap:/split: atoms"
+    )
+
+
 def _grid(args) -> SolverGrid:
     return SolverGrid(n_angular=args.grid_angular, n_radial=args.grid_radial)
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _value(x):
@@ -91,22 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cap-tree", help="capacity of a boundary set")
-    p.add_argument("--set", required=True, help="set specification")
+    _add_set_flags(p)
     p.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for cap:/split: atoms")
     _add_output_flags(p)
 
     p = sub.add_parser("cap-cond", help="condenser capacities at cut levels 0..n-max")
-    p.add_argument("--set", required=True)
+    _add_set_flags(p)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_output_flags(p)
 
     p = sub.add_parser("extremal", help="extremal flux, path sums, equilibrium measure")
-    p.add_argument("--set", required=True)
+    _add_set_flags(p)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_output_flags(p)
 
     p = sub.add_parser("build-set", help="build a set of prescribed capacity")
@@ -121,9 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("solve-disc", help="solve one disc condenser")
-    p.add_argument("--set", required=True)
+    _add_set_flags(p)
     p.add_argument("--inner-radius", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--field-out", default=None, help="dump the potential field as CSV")
     _add_grid_flags(p)
     _add_output_flags(p)
@@ -132,11 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
 
     p = exp_sub.add_parser("blowup", help="condenser capacity growth for a fixed set")
-    p.add_argument("--set", required=True)
+    _add_set_flags(p)
     p.add_argument("--n-max", type=int, default=13)
     p.add_argument("--threshold", type=float, default=1e3)
     p.add_argument("--with-disc", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_grid_flags(p)
     _add_output_flags(p)
 
@@ -156,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = exp_sub.add_parser("compare", help="tree vs disc condenser capacities")
-    p.add_argument("--set", required=True)
+    _add_set_flags(p)
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_grid_flags(p)
     _add_output_flags(p)
 
@@ -174,55 +159,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_cap_tree(args) -> int:
-    bset = parse_set_spec(args.set, args.tol)
-    value = capacity(bset, exact=args.exact)
+def _cmd_cap_tree(args):
+    value = capacity(parse_set_spec(args.set, args.tol), exact=args.exact)
     payload = {"set": args.set, "exact": args.exact, "capacity": _value(value)}
-    if args.format == "csv":
-        _emit(rows_to_csv([payload]), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return payload, [payload]
 
 
-def _cmd_cap_cond(args) -> int:
+def _cmd_cap_cond(args):
     bset = parse_set_spec(args.set, args.tol)
     rows = [
         {"n": n, "value": _value(condenser_capacity(bset, n, exact=args.exact))}
         for n in range(args.n_max + 1)
     ]
-    if args.format == "csv":
-        _emit(rows_to_csv(rows), args.out)
-    else:
-        payload = {"set": args.set, "exact": args.exact, "rows": rows}
-        _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return {"set": args.set, "exact": args.exact, "rows": rows}, rows
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args):
     bset = parse_set_spec(args.set, args.tol)
     flux = extremal(bset, exact=args.exact)
-    measure = equilibrium_measure(bset, exact=args.exact)
     vertices = flux.to_json_obj()
-    if args.format == "csv":
-        _emit(rows_to_csv(vertices), args.out)
-        return 0
     payload = {
         "set": args.set,
         "capacity": _value(flux.root_capacity),
         "energy": _value(energy(flux)),
         "vertices": vertices,
-        "measure": measure.to_json_obj(),
+        "measure": equilibrium_measure(bset, exact=args.exact).to_json_obj(),
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return payload, vertices
 
 
-def _cmd_build_set(args) -> int:
+def _cmd_build_set(args):
     bset = set_of_capacity(args.eps, args.tol)
-    if args.format == "csv":
-        _emit(bset.to_text() + "\n", args.out)
-        return 0
     payload = {
         "target": args.eps,
         "tol": args.tol,
@@ -230,24 +197,19 @@ def _cmd_build_set(args) -> int:
         "resolution": bset.resolution,
         "set": bset.to_json_obj(),
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    # the CSV form is the set's own n:j leaf text, not a table
+    return payload, bset.to_text() + "\n"
 
 
-def _cmd_equal_split(args) -> int:
+def _cmd_equal_split(args):
     family = equal_split(args.eps, args.n, args.tol)
-    obj = family.to_json_obj()
-    obj["capacity"] = capacity(family.carrier)
-    obj["condenser_at_n"] = condenser_capacity(family.carrier, args.n)
-    if args.format == "csv":
-        rows = [{"k": k, "e": v} for k, v in enumerate(family.e)]
-        _emit(rows_to_csv(rows), args.out)
-        return 0
-    _emit(json.dumps(obj, indent=2), args.out)
-    return 0
+    payload = family.to_json_obj()
+    payload["capacity"] = capacity(family.carrier)
+    payload["condenser_at_n"] = condenser_capacity(family.carrier, args.n)
+    return payload, [{"k": k, "e": v} for k, v in enumerate(family.e)]
 
 
-def _cmd_solve_disc(args) -> int:
+def _cmd_solve_disc(args):
     bset = parse_set_spec(args.set, args.tol)
     problem = CondenserProblem.from_set(bset, args.inner_radius)
     solution = solve(problem, _grid(args))
@@ -265,43 +227,40 @@ def _cmd_solve_disc(args) -> int:
         "grid_angular": args.grid_angular,
         "grid_radial": args.grid_radial,
     }
-    if args.format == "csv":
-        _emit(rows_to_csv([payload]), args.out)
-    else:
-        _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return payload, [payload]
 
 
-def _cmd_experiment(args) -> int:
-    if args.experiment == "blowup":
-        report = run_blowup(
-            parse_set_spec(args.set, args.tol),
+def _cmd_experiment(args):
+    # the runners are looked up on the module at call time, so wrappers
+    # installed there (tracing) see every call
+    name = args.experiment
+    if name == "blowup":
+        report = experiments.run_blowup(
+            args.set,
             args.n_max,
             threshold=args.threshold,
             with_disc=args.with_disc,
             grid=_grid(args),
+            tol=args.tol,
         )
-        report.params["set"] = args.set
-    elif args.experiment == "plateau":
-        report = run_plateau(args.eps, args.n_max, tol=args.tol, exact=args.exact)
-    elif args.experiment == "lowerbound":
-        report = run_lowerbound(
+    elif name == "plateau":
+        report = experiments.run_plateau(
+            args.eps, args.n_max, tol=args.tol, exact=args.exact
+        )
+    elif name == "lowerbound":
+        report = experiments.run_lowerbound(
             args.eps, args.n_max, args.samples, args.seed, tol=args.tol
         )
-    elif args.experiment == "compare":
-        report = run_compare(
-            parse_set_spec(args.set, args.tol), args.n_max, grid=_grid(args)
+    elif name == "compare":
+        report = experiments.run_compare(
+            args.set, args.n_max, grid=_grid(args), tol=args.tol
         )
-        report.params["set"] = args.set
-    elif args.experiment == "conjecture":
+    else:
         deltas = [float(part) for part in args.delta.split(",") if part.strip()]
-        report = run_conjecture(
+        report = experiments.run_conjecture(
             deltas, args.n_max, with_disc=args.with_disc, grid=_grid(args)
         )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(args.experiment)
-    _emit(report.render(args.format), args.out)
-    return 0 if report.verdict else 1
+    return report.to_json_obj(), report.rows, 0 if report.verdict else 1
 
 
 _HANDLERS = {
@@ -316,10 +275,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        payload, rows, *code = _HANDLERS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2)
+        else:
+            text = rows if isinstance(rows, str) else rows_to_csv(rows)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return code[0] if code else 0
     except (TreecapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -109,12 +109,13 @@ class CondenserProblem:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscSolution:
     """Solved condenser: capacity, unit-circle ring values, and the grid they live on.
 
     ``ring`` holds the potential on the unit circle.  The interior field
     ``potential`` is recovered from it on first access and then cached.
+    Solutions compare by identity: their fields are numpy arrays.
     """
 
     capacity: float

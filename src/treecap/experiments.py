@@ -2,8 +2,8 @@
 
 Each experiment builds an ``ExperimentReport``: the full parameter record
 (library version included), a list of uniform rows, a pass/fail verdict for
-its acceptance rule, and the wall-clock time.  Reports serialize to JSON and
-CSV with identical row fields.
+its acceptance rule, and the wall-clock time.  ``to_json_obj`` gives the
+JSON report and ``rows_to_csv`` its rows, with identical fields.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .builder import (
     set_of_capacity,
 )
 from .capacity import capacity, condenser_capacity
-from .disc import CondenserProblem, SolverGrid, capacity_of_set, solve
+from .disc import SolverGrid, condenser_profile
 from .errors import CalibrationError, DegenerateSetError, SetSpecError
 from .tree import BoundarySet, VertexId, prefix_set
 
@@ -61,20 +61,6 @@ class ExperimentReport:
             "verdict": self.verdict,
             "timing_seconds": self.timing_seconds,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    def to_csv_str(self) -> str:
-        """Rows only: one CSV record per row, fields matching the JSON rows."""
-        return rows_to_csv(self.rows)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json_str()
-        if fmt == "csv":
-            return self.to_csv_str()
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _base_params(**kwargs) -> dict:
@@ -181,10 +167,16 @@ def _load_set_file(path: str) -> BoundarySet:
     return BoundarySet.from_text(text)
 
 
-def _resolve_set(e, tol: float = 1e-9) -> BoundarySet:
+def _resolve_set(e, tol: float) -> tuple[BoundarySet, object]:
+    """The set and its report record: a spec string as given, else the leaf list."""
     if isinstance(e, BoundarySet):
-        return e
-    return parse_set_spec(e, tol)
+        return e, e.to_json_obj()
+    return parse_set_spec(e, tol), e
+
+
+def _disc_levels(e: BoundarySet, n_max: int, grid: SolverGrid) -> dict[int, float]:
+    """Disc condenser capacities by cut level n = 1..n_max (none for n_max < 1)."""
+    return dict(condenser_profile(e, n_max, grid)) if n_max >= 1 else {}
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +191,28 @@ def run_blowup(
     with_disc: bool = False,
     grid: SolverGrid | None = None,
     ratio_window_start: int = 8,
+    tol: float = 1e-9,
 ) -> ExperimentReport:
     """Growth of the condenser capacity of a fixed positive-capacity set.
 
-    Passes when the late step ratios sit in [1.5, 2] (the doubling regime) and
-    the values clear the threshold.
+    ``e`` is a set or a set specification (built to ``tol``).  Passes when the
+    late step ratios sit in [1.5, 2] (the doubling regime) and the values
+    clear the threshold.
     """
     t0 = time.perf_counter()
-    bset = _resolve_set(e)
+    bset, set_record = _resolve_set(e, tol)
     cap = capacity(bset)
     if cap <= 0.0:
         raise DegenerateSetError("blow-up needs a set of positive capacity")
     grid = grid or SolverGrid()
-    spec = e if isinstance(e, str) else None
+    disc = _disc_levels(bset, min(n_max, 6), grid) if with_disc else {}
 
     rows = []
     prev = None
     for n in range(n_max + 1):
         value = condenser_capacity(bset, n)
         ratio = None if prev in (None, 0.0) else value / prev
-        disc_value = None
-        if with_disc and 1 <= n <= 6:
-            disc_value = solve(
-                CondenserProblem.from_set(bset, 1.0 - 0.5**n), grid
-            ).capacity
-        rows.append({"n": n, "tree": value, "ratio": ratio, "disc": disc_value})
+        rows.append({"n": n, "tree": value, "ratio": ratio, "disc": disc.get(n)})
         prev = value
 
     window = [
@@ -236,7 +225,7 @@ def run_blowup(
     return ExperimentReport(
         "blowup",
         _base_params(
-            set=spec or bset.to_json_obj(),
+            set=set_record,
             n_max=n_max,
             threshold=threshold,
             ratio_window_start=ratio_window_start,
@@ -377,39 +366,33 @@ def run_compare(
     grid: SolverGrid | None = None,
     bracket: tuple[float, float] = (0.1, 10.0),
     spread_max: float = 20.0,
+    tol: float = 1e-9,
 ) -> ExperimentReport:
     """Tree vs disc condenser capacities: the ratio stays in a fixed bracket.
 
-    The ``n = 0`` row compares the level-independent pair (the disc condenser
-    against radius 1/2 versus the plain tree capacity).
+    ``e`` is a set or a set specification (built to ``tol``).  The ``n = 0``
+    row compares the level-independent pair (the disc condenser against
+    radius 1/2 versus the plain tree capacity).
     """
     t0 = time.perf_counter()
-    bset = _resolve_set(e)
+    bset, set_record = _resolve_set(e, tol)
     if bset.is_empty():
         raise DegenerateSetError("comparison needs a nonempty set")
     grid = grid or SolverGrid()
-    spec = e if isinstance(e, str) else None
 
+    # the level-1 condenser radius 1 - 2^-1 equals the normalization radius
+    # 1/2, so the n = 1 solve also serves the n = 0 row
+    disc = _disc_levels(bset, max(n_max, 1), grid)
+    disc[0] = disc[1]
     rows = []
-    tree0 = capacity(bset)
-    disc0 = capacity_of_set(bset, grid)
-    rows.append({"n": 0, "tree": tree0, "disc": disc0, "ratio": disc0 / tree0})
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         tree_value = condenser_capacity(bset, n)
-        if n == 1:
-            # the level-1 condenser radius 1 - 2^-1 equals the normalization
-            # radius 1/2, so the n = 0 solve is reused
-            disc_value = disc0
-        else:
-            disc_value = solve(
-                CondenserProblem.from_set(bset, 1.0 - 0.5**n), grid
-            ).capacity
         rows.append(
             {
                 "n": n,
                 "tree": tree_value,
-                "disc": disc_value,
-                "ratio": disc_value / tree_value,
+                "disc": disc[n],
+                "ratio": disc[n] / tree_value,
             }
         )
 
@@ -423,7 +406,7 @@ def run_compare(
     return ExperimentReport(
         "compare",
         _base_params(
-            set=spec or bset.to_json_obj(),
+            set=set_record,
             n_max=n_max,
             bracket=list(bracket),
             spread_max=spread_max,
@@ -457,20 +440,16 @@ def run_conjecture(
         if not 0.0 < delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
         knee = math.log2(1.0 / delta)
-        disc_set = None
+        disc = {}
         if with_disc:
             disc_set = set_of_capacity(0.5 - delta, 1e-9)
+            disc = _disc_levels(disc_set, min(n_max, 6), grid)
         for n in range(n_max + 1):
             bound = lower_bound(0.5 - delta, n)
             gap_form = lower_bound_gap_form(delta, n)
             diff = abs(bound - gap_form)
             if diff > 1e-12:
                 agree = False
-            disc_value = None
-            if disc_set is not None and 1 <= n <= 6:
-                disc_value = solve(
-                    CondenserProblem.from_set(disc_set, 1.0 - 0.5**n), grid
-                ).capacity
             rows.append(
                 {
                     "delta": delta,
@@ -479,7 +458,7 @@ def run_conjecture(
                     "gap_form": gap_form,
                     "difference": diff,
                     "knee": knee,
-                    "disc": disc_value,
+                    "disc": disc.get(n),
                 }
             )
     return ExperimentReport(

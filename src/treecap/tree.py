@@ -448,16 +448,12 @@ def prefix_set(
     if t == 1:
         return _FULL_SET
     bits_int = t.numerator  # q bits, bit q-1 is the leading binary digit
-    return BoundarySet(_path_trie(bits_int, q, close_full=False))
+    return BoundarySet(_path_trie(bits_int, q))
 
 
-def _path_trie(bits_int: int, q: int, close_full: bool) -> _Node:
-    """Trie of the arc [0, 0.b1..bq] built bottom-up; bq is bit 0 of ``bits_int``.
-
-    ``close_full`` picks the tag of the deepest path node: Full encodes the
-    arc closed at ``t + 2^-q`` instead (used by bracketed constructions).
-    """
-    node = _FULL_LEAF if close_full else _EMPTY_LEAF
+def _path_trie(bits_int: int, q: int) -> _Node:
+    """Trie of the arc [0, 0.b1..bq] built bottom-up; bq is bit 0 of ``bits_int``."""
+    node = _EMPTY_LEAF
     for k in range(q):
         if (bits_int >> k) & 1:
             node = _join(_FULL_LEAF, node)

@@ -20,6 +20,7 @@ from treecap import (
     prefix_set,
     random_boundary_set,
 )
+from treecap.capacity import _num
 
 ROOT = VertexId(0, 0)
 
@@ -295,6 +296,14 @@ class TestExactMode:
     def test_exact_tables(self):
         table = capacity_table(cantor_set(1), exact=True)
         assert table.root_value == Fraction(2, 5)
+
+    def test_exact_extremal_c_column(self):
+        e = cantor_set(2)
+        table = capacity_table(e, exact=True)
+        rows = extremal(e, exact=True).to_json_obj()
+        assert len(rows) == len(table.values)
+        for row in rows:
+            assert row["c"] == _num(table.values[VertexId(*row["vertex"])])
 
     def test_exact_extremal_energy(self):
         e = cantor_set(2)

@@ -130,6 +130,13 @@ class TestSolutionProperties:
         p = CondenserProblem.from_set(cantor_set(2), 0.5)
         assert solve(p, FAST).capacity == solve(p, FAST).capacity
 
+    def test_solutions_compare_by_identity(self):
+        # array fields have no single truth value, so == must not compare them
+        p = CondenserProblem.from_set(cantor_set(2), 0.5)
+        a, b = solve(p, FAST), solve(p, FAST)
+        assert a == a
+        assert a != b
+
     def test_field_rows(self):
         sol = solve(full_problem(0.5), SolverGrid(128, 24))
         rows = list(sol.field_rows())

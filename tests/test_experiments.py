@@ -11,6 +11,7 @@ from treecap.cli import main
 from treecap.disc import SolverGrid
 from treecap.experiments import (
     parse_set_spec,
+    rows_to_csv,
     run_blowup,
     run_compare,
     run_conjecture,
@@ -145,8 +146,8 @@ class TestReports:
 
     def test_csv_json_agree_field_for_field(self):
         report = run_blowup("full", 6)
-        parsed = list(csv.DictReader(io.StringIO(report.to_csv_str())))
-        json_rows = json.loads(report.to_json_str())["rows"]
+        parsed = list(csv.DictReader(io.StringIO(rows_to_csv(report.rows))))
+        json_rows = json.loads(json.dumps(report.to_json_obj()))["rows"]
         assert len(parsed) == len(json_rows)
         for csv_row, json_row in zip(parsed, json_rows):
             assert set(csv_row) == set(json_row)
@@ -281,3 +282,104 @@ class TestCli:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 4
         assert float(rows[0]["knee"]) == 3.0
+
+    def test_spec_is_its_own_record(self, capsys, monkeypatch):
+        # a --set spec goes into the report as given; the leaf list of the
+        # set it names is never built
+        def refuse(self):
+            raise AssertionError("leaf list built for a spec-string report")
+
+        monkeypatch.setattr(BoundarySet, "to_json_obj", refuse)
+        runs = [
+            ("prefix:1/2", ["blowup", "--n-max", "3", "--threshold", "1"]),
+            (
+                "shadow:1,0",
+                ["compare", "--n-max", "2", "--grid-angular", "256",
+                 "--grid-radial", "48"],
+            ),
+        ]
+        for spec, argv in runs:
+            assert main(["experiment", *argv, "--set", spec]) == 0
+            assert json.loads(capsys.readouterr().out)["params"]["set"] == spec
+
+
+# stdout of five commands, byte for byte (CSV records end in \r\n, as the
+# csv module writes them)
+PINNED_STDOUT = [
+    (
+        ["cap-tree", "--set", "union(shadow:2,0, shadow:3,6)", "--exact"],
+        '{\n'
+        '  "set": "union(shadow:2,0, shadow:3,6)",\n'
+        '  "exact": true,\n'
+        '  "capacity": "7/19"\n'
+        '}\n',
+    ),
+    (
+        ["cap-cond", "--set", "full", "--n-max", "3", "--format", "csv"],
+        "n,value\r\n0,0.5\r\n1,1.0\r\n2,2.0\r\n3,4.0\r\n",
+    ),
+    (
+        ["build-set", "--eps", "0.25", "--tol", "1e-10", "--format", "csv"],
+        "2:0\n",
+    ),
+    (
+        ["equal-split", "--eps", "0.25", "--n", "2", "--format", "csv"],
+        "k,e\r\n0,0.25\r\n1,0.16666666666666666\r\n2,0.09999999999999999\r\n",
+    ),
+    (
+        ["extremal", "--set", "shadow:1,0"],
+        """\
+{
+  "set": "shadow:1,0",
+  "capacity": 0.3333333333333333,
+  "energy": 0.33333333333333337,
+  "vertices": [
+    {
+      "vertex": [
+        0,
+        0
+      ],
+      "c": 0.3333333333333333,
+      "h": 0.3333333333333333,
+      "H": 0.3333333333333333
+    },
+    {
+      "vertex": [
+        1,
+        0
+      ],
+      "c": 0.5,
+      "h": 0.33333333333333337,
+      "H": 0.6666666666666667
+    },
+    {
+      "vertex": [
+        1,
+        1
+      ],
+      "c": 0.0,
+      "h": 0.0,
+      "H": 0.3333333333333333
+    }
+  ],
+  "measure": [
+    {
+      "arc": [
+        1,
+        0
+      ],
+      "mass": 0.33333333333333337
+    }
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", PINNED_STDOUT, ids=[argv[0] for argv, _ in PINNED_STDOUT]
+)
+def test_cli_stdout_bytes(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
