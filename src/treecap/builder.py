@@ -363,7 +363,7 @@ def set_of_capacity(
     """
     if not 0.0 <= target <= 0.5:
         raise ValueError(f"target capacity must lie in [0, 1/2], got {target}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     try:
         result = _solve_cut(target, tol, "trim", None, max_resolution)
@@ -444,7 +444,7 @@ def calibrated_set(
     """
     if not 0.0 <= target <= 0.5:
         raise ValueError(f"target capacity must lie in [0, 1/2], got {target}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     c0 = capacity(base)
     if abs(c0 - target) <= tol:
@@ -558,23 +558,18 @@ def cantor_set(levels: int) -> BoundarySet:
     return BoundarySet.from_full_leaves((2 * levels, j) for j in sorted(indices))
 
 
-def random_boundary_set(
-    seed: int,
-    max_depth: int = 8,
-    leaf_prob: float = 0.35,
-    full_prob: float = 0.45,
-) -> BoundarySet:
+def random_boundary_set(seed: int, max_depth: int = 8) -> BoundarySet:
     """Seeded random canonical trie of bounded depth.
 
-    Interior vertices stop early with probability ``leaf_prob`` (always at
-    ``max_depth``) and a stopped vertex is Full with probability ``full_prob``.
+    Interior vertices stop early with probability 0.35 (always at
+    ``max_depth``) and a stopped vertex is Full with probability 0.45.
     Canonical merging may shrink the result, including to the empty set.
     """
     rng = Random(seed)
 
     def gen(depth):
-        if depth >= max_depth or rng.random() < leaf_prob:
-            return _FULL_LEAF if rng.random() < full_prob else _EMPTY_LEAF
+        if depth >= max_depth or rng.random() < 0.35:
+            return _FULL_LEAF if rng.random() < 0.45 else _EMPTY_LEAF
         left = gen(depth + 1)
         right = gen(depth + 1)
         return _join(left, right)

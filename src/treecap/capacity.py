@@ -297,9 +297,17 @@ def energy(flux: FluxTable):
 class EquilibriumMeasure:
     """Additive arc masses with ``mass(S(x)) = h(x)``; supported on the set."""
 
-    boundary_set: BoundarySet
-    arc_masses: dict[VertexId, object] = field(repr=False)
-    flux: FluxTable = field(repr=False, default=None)
+    flux: FluxTable = field(repr=False)
+
+    @property
+    def boundary_set(self) -> BoundarySet:
+        return self.flux.boundary_set
+
+    @property
+    def arc_masses(self) -> dict[VertexId, object]:
+        """Mass of each Full leaf's arc: the flux into that leaf."""
+        leaves = (VertexId(n, j) for n, j in self.boundary_set.full_leaves())
+        return {v: self.flux.h[v] for v in leaves}
 
     @property
     def total_mass(self):
@@ -310,17 +318,16 @@ class EquilibriumMeasure:
         return self.flux.h_at(vertex)
 
     def to_json_obj(self):
+        masses = self.arc_masses
         return [
-            {"arc": [v.level, v.index], "mass": _num(self.arc_masses[v])}
-            for v in sorted(self.arc_masses)
+            {"arc": [v.level, v.index], "mass": _num(masses[v])}
+            for v in sorted(masses)
         ]
 
 
 def equilibrium_measure(e: BoundarySet, exact: bool = False) -> EquilibriumMeasure:
     """The measure whose shadow masses equal the extremal flux; total mass = capacity."""
-    flux = extremal(e, exact=exact)
-    full = [VertexId(level, index) for level, index in e.full_leaves()]
-    return EquilibriumMeasure(e, {v: flux.h[v] for v in full}, flux)
+    return EquilibriumMeasure(extremal(e, exact=exact))
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,15 @@ import sys
 from . import __version__, experiments
 from .builder import equal_split, set_of_capacity
 from .capacity import (
+    EquilibriumMeasure,
     capacity,
     condenser_capacity,
     energy,
-    equilibrium_measure,
     extremal,
 )
 from .disc import CondenserProblem, SolverGrid, solve
 from .errors import TreecapError
-from .experiments import parse_set_spec, rows_to_csv
+from .experiments import check_n_max, parse_set_spec, rows_to_csv
 
 
 def _add_output_flags(parser):
@@ -166,6 +166,7 @@ def _cmd_cap_tree(args):
 
 
 def _cmd_cap_cond(args):
+    check_n_max(args.n_max)
     bset = parse_set_spec(args.set, args.tol)
     rows = [
         {"n": n, "value": _value(condenser_capacity(bset, n, exact=args.exact))}
@@ -183,7 +184,7 @@ def _cmd_extremal(args):
         "capacity": _value(flux.root_capacity),
         "energy": _value(energy(flux)),
         "vertices": vertices,
-        "measure": equilibrium_measure(bset, exact=args.exact).to_json_obj(),
+        "measure": EquilibriumMeasure(flux).to_json_obj(),
     }
     return payload, vertices
 
@@ -211,7 +212,7 @@ def _cmd_equal_split(args):
 
 def _cmd_solve_disc(args):
     bset = parse_set_spec(args.set, args.tol)
-    problem = CondenserProblem.from_set(bset, args.inner_radius)
+    problem = CondenserProblem(bset, args.inner_radius)
     solution = solve(problem, _grid(args))
     if args.field_out:
         with open(args.field_out, "w", newline="") as handle:

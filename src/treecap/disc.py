@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -64,49 +63,27 @@ class SolverGrid:
             )
         if self.n_radial < 4:
             raise ValueError(f"need at least 4 radial layers, got {self.n_radial}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class CondenserProblem:
-    """Plates of the condenser: dyadic circle arcs at 1, the disc of ``inner_radius`` at 0."""
+    """Plates of the condenser: ``plate`` on the unit circle at 1, the disc of ``inner_radius`` at 0."""
 
-    arcs: tuple[tuple[int, int], ...]
+    plate: BoundarySet
     inner_radius: float
-    plate_values: ClassVar[tuple[float, float]] = (1.0, 0.0)
 
     def __post_init__(self):
         if not 0.0 < self.inner_radius < 1.0:
             raise ValueError(
                 f"inner radius must lie strictly inside (0, 1), got {self.inner_radius}"
             )
-        # canonicalizing through the boundary-set encoding validates the arcs
-        # and merges overlaps, which leaves the plate unchanged
-        canonical = tuple(BoundarySet.from_full_leaves(self.arcs).full_leaves())
-        object.__setattr__(self, "arcs", canonical)
 
     @staticmethod
     def from_set(e: BoundarySet, inner_radius: float) -> "CondenserProblem":
-        return CondenserProblem(tuple(e.full_leaves()), inner_radius)
-
-    @property
-    def arc_resolution(self) -> int:
-        return max((n for n, _ in self.arcs), default=0)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "arcs": [[n, j] for n, j in self.arcs],
-            "inner_radius": self.inner_radius,
-            "plate_values": list(self.plate_values),
-        }
-
-    @staticmethod
-    def from_json_obj(obj) -> "CondenserProblem":
-        return CondenserProblem(
-            tuple((int(n), int(j)) for n, j in obj["arcs"]),
-            float(obj["inner_radius"]),
-        )
+        """The same as ``CondenserProblem(e, inner_radius)``."""
+        return CondenserProblem(e, inner_radius)
 
 
 @dataclass(eq=False)
@@ -203,15 +180,21 @@ def _conductances(rho: np.ndarray, n_angular: int):
     return kr, kt
 
 
-def _plate_mask(arcs, n_angular: int, arc_resolution: int) -> np.ndarray:
-    """Boundary nodes held at 1: whole cells per arc, endpoints included."""
-    if n_angular < (1 << (arc_resolution + 1)):
+def _plate_mask(plate: BoundarySet, n_angular: int) -> np.ndarray:
+    """Boundary nodes held at 1: whole cells per Full leaf, endpoints included.
+
+    The plate's resolution, a fold over its distinct trie nodes, is checked
+    against the grid before a single leaf is listed, so a set deeper than the
+    grid fails fast however many leaves it has.
+    """
+    depth = n_angular.bit_length() - 2  # log2(n_angular) - 1 for a power of two
+    if plate.resolution > depth:
         raise MisalignedArcError(
             f"{n_angular} angular cells cannot tile arcs of resolution "
-            f"{arc_resolution}; need at least {1 << (arc_resolution + 1)}"
+            f"{plate.resolution}; need at least 2^{plate.resolution + 1}"
         )
     mask = np.zeros(n_angular, dtype=bool)
-    for level, index in arcs:
+    for level, index in plate.full_leaves():
         width = n_angular >> level
         start = index * width
         mask[start : start + width + 1] = True
@@ -295,7 +278,7 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     _check_size(max(cols, grid.n_radial + 1), f"a {cols}x{grid.n_radial} grid")
     rho = _radial_nodes(problem.inner_radius, grid.n_radial, cols)
     kr, kt = _conductances(rho, cols)
-    plate = _plate_mask(problem.arcs, cols, problem.arc_resolution)
+    plate = _plate_mask(problem.plate, cols)
     free = ~plate
     symbol = _ring_symbol(kr, kt, cols)
     inverse = 1.0 / symbol
@@ -355,7 +338,7 @@ def capacity_of_set(e: BoundarySet, grid: SolverGrid = SolverGrid()) -> float:
     """Normalized capacity of a circle arc set: the condenser against the disc of radius 1/2."""
     if e.is_empty():
         raise DegenerateSetError("capacity_of_set needs a nonempty arc set")
-    return solve(CondenserProblem.from_set(e, 0.5), grid).capacity
+    return solve(CondenserProblem(e, 0.5), grid).capacity
 
 
 def condenser_profile(
@@ -367,5 +350,5 @@ def condenser_profile(
     out = []
     for n in range(1, n_max + 1):
         r = 1.0 - 0.5**n
-        out.append((n, solve(CondenserProblem.from_set(e, r), grid).capacity))
+        out.append((n, solve(CondenserProblem(e, r), grid).capacity))
     return out

@@ -28,8 +28,19 @@ from .builder import (
 )
 from .capacity import capacity, condenser_capacity
 from .disc import SolverGrid, condenser_profile
-from .errors import CalibrationError, DegenerateSetError, SetSpecError
-from .tree import BoundarySet, VertexId, prefix_set
+from .errors import (
+    CalibrationError,
+    DegenerateSetError,
+    ResolutionError,
+    SetSpecError,
+)
+from .tree import DEFAULT_MAX_RESOLUTION, BoundarySet, VertexId, prefix_set
+
+# fixed acceptance rules of the experiments, recorded in their reports
+_BLOWUP_RATIO_WINDOW_START = 8  # first level whose step ratio must show doubling
+_PLATEAU_VERDICT_TOL = 1e-9  # largest gap from the closed form
+_COMPARE_BRACKET = (0.1, 10.0)  # range for every disc/tree ratio
+_COMPARE_SPREAD_MAX = 20.0  # largest max/min ratio over the levels
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -113,7 +124,7 @@ def parse_set_spec(spec: str, tol: float = 1e-9) -> BoundarySet:
             return equal_split(float(eps), int(n), tol).carrier
         if kind == "file":
             return _load_set_file(arg)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SetSpecError(f"bad set specification {spec!r}: {exc}") from exc
     raise SetSpecError(f"unknown set specification kind {kind!r}")
 
@@ -153,7 +164,18 @@ def _parse_dyadic(text: str) -> Fraction:
     if "/" in text:
         num, _, den = text.partition("/")
         if den.startswith("2^"):
-            return Fraction(int(num), 2 ** int(den[2:]))
+            p, q = int(num), int(den[2:])
+            if p == 0 and q >= 0:
+                return Fraction(0)
+            # refuse a deep p / 2^q before forming 2^q, which may not fit in
+            # memory; 2^v, the largest power of two in p, cancels
+            v = (p & -p).bit_length() - 1
+            if q - v > DEFAULT_MAX_RESOLUTION:
+                raise ResolutionError(
+                    f"t = {text} needs resolution {q - v} > maximum "
+                    f"{DEFAULT_MAX_RESOLUTION}"
+                )
+            return Fraction(p, 2**q)
         return Fraction(int(num), int(den))
     return Fraction(text)
 
@@ -174,6 +196,12 @@ def _resolve_set(e, tol: float) -> tuple[BoundarySet, object]:
     return parse_set_spec(e, tol), e
 
 
+def check_n_max(n_max: int) -> None:
+    """Refuse a negative top level, which would leave a report without rows."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+
+
 def _disc_levels(e: BoundarySet, n_max: int, grid: SolverGrid) -> dict[int, float]:
     """Disc condenser capacities by cut level n = 1..n_max (none for n_max < 1)."""
     return dict(condenser_profile(e, n_max, grid)) if n_max >= 1 else {}
@@ -190,7 +218,6 @@ def run_blowup(
     threshold: float = 1e3,
     with_disc: bool = False,
     grid: SolverGrid | None = None,
-    ratio_window_start: int = 8,
     tol: float = 1e-9,
 ) -> ExperimentReport:
     """Growth of the condenser capacity of a fixed positive-capacity set.
@@ -200,6 +227,7 @@ def run_blowup(
     clear the threshold.
     """
     t0 = time.perf_counter()
+    check_n_max(n_max)
     bset, set_record = _resolve_set(e, tol)
     cap = capacity(bset)
     if cap <= 0.0:
@@ -218,7 +246,7 @@ def run_blowup(
     window = [
         row["ratio"]
         for row in rows
-        if row["n"] >= ratio_window_start and row["ratio"] is not None
+        if row["n"] >= _BLOWUP_RATIO_WINDOW_START and row["ratio"] is not None
     ]
     doubling = all(1.5 <= ratio <= 2.0 + 1e-12 for ratio in window)
     verdict = doubling and rows[-1]["tree"] > threshold
@@ -228,7 +256,7 @@ def run_blowup(
             set=set_record,
             n_max=n_max,
             threshold=threshold,
-            ratio_window_start=ratio_window_start,
+            ratio_window_start=_BLOWUP_RATIO_WINDOW_START,
             with_disc=with_disc,
             capacity=cap,
         ),
@@ -243,13 +271,13 @@ def run_plateau(
     n_max: int,
     tol: float = 1e-9,
     exact: bool = False,
-    verdict_tol: float = 1e-9,
 ) -> ExperimentReport:
     """The equal-split family: condenser capacity matches the closed form and
     stays below the ceiling eps / (1 - 2 eps) at every split depth."""
     t0 = time.perf_counter()
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    check_n_max(n_max)
     ceiling = plateau_bound(eps)
     eps_frac = Fraction(eps)
     rows = []
@@ -272,11 +300,15 @@ def run_plateau(
                 "ceiling": ceiling,
             }
         )
-    verdict = worst <= verdict_tol and below
+    verdict = worst <= _PLATEAU_VERDICT_TOL and below
     return ExperimentReport(
         "plateau",
         _base_params(
-            eps=eps, n_max=n_max, tol=tol, exact=exact, verdict_tol=verdict_tol
+            eps=eps,
+            n_max=n_max,
+            tol=tol,
+            exact=exact,
+            verdict_tol=_PLATEAU_VERDICT_TOL,
         ),
         rows,
         verdict,
@@ -297,6 +329,7 @@ def run_lowerbound(
     t0 = time.perf_counter()
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
+    check_n_max(n_max)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
 
@@ -364,8 +397,6 @@ def run_compare(
     e,
     n_max: int = 6,
     grid: SolverGrid | None = None,
-    bracket: tuple[float, float] = (0.1, 10.0),
-    spread_max: float = 20.0,
     tol: float = 1e-9,
 ) -> ExperimentReport:
     """Tree vs disc condenser capacities: the ratio stays in a fixed bracket.
@@ -375,6 +406,7 @@ def run_compare(
     radius 1/2 versus the plain tree capacity).
     """
     t0 = time.perf_counter()
+    check_n_max(n_max)
     bset, set_record = _resolve_set(e, tol)
     if bset.is_empty():
         raise DegenerateSetError("comparison needs a nonempty set")
@@ -399,17 +431,18 @@ def run_compare(
     ratios = [row["ratio"] for row in rows]
     level_ratios = ratios[1:] or ratios
     spread = max(level_ratios) / min(level_ratios)
+    low, high = _COMPARE_BRACKET
     verdict = (
-        all(bracket[0] <= ratio <= bracket[1] for ratio in ratios)
-        and spread <= spread_max
+        all(low <= ratio <= high for ratio in ratios)
+        and spread <= _COMPARE_SPREAD_MAX
     )
     return ExperimentReport(
         "compare",
         _base_params(
             set=set_record,
             n_max=n_max,
-            bracket=list(bracket),
-            spread_max=spread_max,
+            bracket=list(_COMPARE_BRACKET),
+            spread_max=_COMPARE_SPREAD_MAX,
             spread=spread,
             grid_angular=grid.n_angular,
             grid_radial=grid.n_radial,
@@ -433,6 +466,7 @@ def run_conjecture(
     requested, are attached for small levels only and carry no pass/fail.
     """
     t0 = time.perf_counter()
+    check_n_max(n_max)
     grid = grid or SolverGrid()
     rows = []
     agree = True

@@ -69,7 +69,7 @@ def test_criterion_1_exact_values():
 def test_criterion_2_plateau():
     with criterion(2, "equal-split plateau", budget_seconds=10.0):
         for eps in (0.05, 0.25, 0.4):
-            report = run_plateau(eps, 12, tol=1e-9, exact=True, verdict_tol=1e-9)
+            report = run_plateau(eps, 12, tol=1e-9, exact=True)
             assert report.verdict, f"plateau verdict failed at eps={eps}"
             ceiling = plateau_bound(eps)
             for row in report.rows:
@@ -167,7 +167,7 @@ def test_criterion_8_comparability():
             "prefix 3/8": prefix_set(Fraction(3, 8)),
         }
         for label, e in cases.items():
-            report = run_compare(e, n_max=6, bracket=(0.1, 10.0), spread_max=20.0)
+            report = run_compare(e, n_max=6)
             assert report.verdict, f"comparability failed for {label}"
             ratios = [row["ratio"] for row in report.rows if row["n"] >= 1]
             assert all(0.1 <= ratio <= 10.0 for ratio in ratios)

@@ -1,5 +1,5 @@
+import math
 import random
-
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +149,11 @@ class TestSetOfCapacity:
         with pytest.raises(ValueError):
             set_of_capacity(0.2, 0.0)
 
+    def test_nan_tolerance(self):
+        # NaN would switch off the final |capacity - target| <= tol check
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            set_of_capacity(0.2, math.nan)
+
     def test_tolerance_unreachable_reports_bracket(self):
         with pytest.raises(ToleranceError) as err:
             set_of_capacity(0.2341, 1e-12, max_resolution=12)
@@ -216,6 +221,10 @@ class TestEqualSplit:
         with pytest.raises(ValueError):
             equal_split(0.2, -1)
 
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            equal_split(0.25, 2, math.nan)
+
     def test_json_export(self):
         fam = equal_split(0.25, 2, 1e-9)
         obj = fam.to_json_obj()
@@ -263,6 +272,10 @@ class TestCalibratedSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             calibrated_set(BoundarySet.full(), 0.6, 1e-6)
+
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            calibrated_set(BoundarySet.full(), 0.3, math.nan)
 
 
 class TestCantor:

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treecap import (
     BoundarySet,
@@ -50,27 +53,35 @@ class TestGridSetup:
         with pytest.raises(ValueError):
             SolverGrid(tol=0.0)
 
+    def test_nan_tolerance(self):
+        # a NaN residual target is never met: CG would run max_iter steps
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            SolverGrid(tol=math.nan)
+
     def test_problem_validation(self):
-        with pytest.raises(ValueError):
-            CondenserProblem(((1, 0),), 1.5)
-        with pytest.raises(ValueError):
-            CondenserProblem(((1, 3),), 0.5)
+        for r in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                CondenserProblem(prefix_set(0.5), r)
 
     def test_problem_canonicalizes_arcs(self):
-        p = CondenserProblem(((2, 0), (2, 1)), 0.5)
-        assert p.arcs == ((1, 0),)
-        assert p.plate_values == (1.0, 0.0)
+        # the plate is the set itself, so problems compare as sets
+        half = prefix_set(0.5)
+        split = BoundarySet.from_full_leaves([(2, 0), (2, 1)])
+        assert CondenserProblem.from_set(half, 0.5).plate is half
+        assert CondenserProblem(split, 0.5) == CondenserProblem(half, 0.5)
 
     def test_plate_values_are_fixed(self):
         with pytest.raises(TypeError):
-            CondenserProblem(((1, 0),), 0.5, (2.0, 0.0))
+            CondenserProblem(prefix_set(0.5), 0.5, (2.0, 0.0))
         with pytest.raises(TypeError):
-            CondenserProblem(((1, 0),), 0.5, plate_values=(2.0, 0.0))
+            CondenserProblem(prefix_set(0.5), 0.5, plate_values=(2.0, 0.0))
 
     def test_misaligned_arcs(self):
         deep = BoundarySet.shadow(VertexId(9, 0))
-        with pytest.raises(MisalignedArcError):
+        with pytest.raises(MisalignedArcError, match=r"need at least 2\^10$"):
             solve(CondenserProblem.from_set(deep, 0.5), FAST)
+        # the last level the grid tiles: 2^7 cells of width 2
+        solve(CondenserProblem(BoundarySet.shadow(VertexId(7, 5)), 0.5), FAST)
 
 
 class TestBenchmark:
@@ -145,8 +156,6 @@ class TestSolutionProperties:
         assert rho == 0.5 and theta == 0.0 and u == 0.0
 
     def test_json_serialization(self):
-        problem = CondenserProblem(((2, 1), (3, 0)), 0.75)
-        assert CondenserProblem.from_json_obj(problem.to_json_obj()) == problem
         sol = solve(full_problem(0.5), SolverGrid(128, 24))
         obj = sol.to_json_obj()
         assert obj["capacity"] == sol.capacity
@@ -188,7 +197,7 @@ def dense_solve(problem, grid):
     kr, kt = _conductances(rho, grid.n_angular)
     shape = (grid.n_radial + 1, grid.n_angular)
     a = grid_laplacian(kr, kt, shape)
-    plate = _plate_mask(problem.arcs, grid.n_angular, problem.arc_resolution)
+    plate = _plate_mask(problem.plate, grid.n_angular)
     fixed = np.zeros(shape, dtype=bool)
     fixed[0, :] = True
     fixed[-1, plate] = True
@@ -208,7 +217,7 @@ ORACLE_CASES = [
         ("cantor 2", cantor_set(2)),
     ]
     for n_angular, n_radial in [(16, 6), (32, 8)]
-    if n_angular >= 1 << (CondenserProblem.from_set(e, 0.5).arc_resolution + 1)
+    if n_angular >= 1 << (e.resolution + 1)
     for r in (0.5, 0.875)
 ]
 
@@ -236,6 +245,40 @@ class TestDenseOracle:
         sol = solve(CondenserProblem.from_set(e, r), SolverGrid(n_angular, n_radial))
         energy = _grid_energy(sol.potential, sol._kr, sol._kt) / (2.0 * math.pi)
         assert abs(energy - sol.capacity) <= 1e-10 * sol.capacity
+
+
+def raster_mask(plate, n_angular):
+    """Ring nodes on the plate, from its maximal arcs: node k is held at 1 iff
+    k / N lies in a closed arc, with the arc ending at 1 wrapping to node 0."""
+    mask = np.zeros(n_angular, dtype=bool)
+    for lo, hi in plate.intervals():
+        for k in range(n_angular):
+            if lo <= Fraction(k, n_angular) <= hi:
+                mask[k] = True
+        if hi == 1:
+            mask[0] = True
+    return mask
+
+
+def plates(max_level):
+    pairs = st.lists(
+        st.integers(0, max_level).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+        ),
+        max_size=8,
+    )
+    return pairs.map(BoundarySet.from_full_leaves)
+
+
+class TestPlateMask:
+    @given(plates(max_level=4), st.sampled_from([32, 64]))
+    @example(BoundarySet.full(), 32)
+    @example(BoundarySet.empty(), 32)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_interval_raster(self, plate, n_angular):
+        assert np.array_equal(
+            _plate_mask(plate, n_angular), raster_mask(plate, n_angular)
+        )
 
 
 class TestLargeGrid:

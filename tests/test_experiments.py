@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from treecap import BoundarySet, SetSpecError, VertexId, capacity, prefix_set
 from treecap import cli
+from treecap.capacity import extremal
 from treecap.cli import main
 from treecap.disc import SolverGrid
 from treecap.experiments import (
@@ -174,6 +176,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["capacity"] == pytest.approx(1.0 / 3.0)
         assert payload["measure"][0]["arc"] == [1, 0]
+
+    def test_extremal_walks_the_flux_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(e, exact=False):
+            calls.append(e)
+            return extremal(e, exact)
+
+        monkeypatch.setattr(cli, "extremal", counted)
+        capacity_module = importlib.import_module("treecap.capacity")
+        monkeypatch.setattr(capacity_module, "extremal", counted)
+        assert main(["extremal", "--set", "prefix:3/8"]) == 0
+        assert len(calls) == 1
 
     def test_build_set(self, capsys):
         assert main(["build-set", "--eps", "0.25", "--tol", "1e-10"]) == 0

@@ -1,0 +1,116 @@
+"""Inputs outside the design envelope.
+
+Each case goes through the command line and must fail fast: exit code 2 and
+a one-line error, without first doing the work that would not fit in time or
+memory.  Nothing here asserts wall-clock time; where speed is the point, the
+slow path is made to raise instead.
+"""
+
+import tracemalloc
+
+import pytest
+
+from treecap import BoundarySet, MisalignedArcError, ResolutionError, cli
+from treecap.disc import CondenserProblem, SolverGrid, solve
+from treecap.experiments import parse_set_spec
+
+GRID = ["--grid-angular", "256", "--grid-radial", "48"]
+# 2^12 Full leaves below a trie of 8,206 distinct nodes and resolution 8,204
+DEEP_CARRIER = "split:0.25,12"
+
+
+def refused(argv, capsys) -> str:
+    """The error line of a command that must exit 2 with one line on stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.fixture
+def no_leaf_lists(monkeypatch):
+    """Listing leaves raises, so a refusal has to come from the trie alone."""
+
+    def refuse(self):
+        raise AssertionError("full_leaves() was called")
+
+    monkeypatch.setattr(BoundarySet, "full_leaves", refuse)
+
+
+class TestSetDeeperThanGrid:
+    def test_solve_refuses_before_listing_leaves(self, no_leaf_lists):
+        problem = CondenserProblem(parse_set_spec(DEEP_CARRIER), 0.5)
+        with pytest.raises(MisalignedArcError):
+            solve(problem, SolverGrid(256, 48))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-disc", "--set", DEEP_CARRIER, *GRID],
+            ["experiment", "compare", "--set", DEEP_CARRIER, *GRID],
+            ["experiment", "blowup", "--set", DEEP_CARRIER, "--with-disc", *GRID],
+        ],
+        ids=["solve-disc", "compare", "blowup-with-disc"],
+    )
+    def test_cli_exits_two(self, argv, no_leaf_lists, capsys):
+        line = refused(argv, capsys)
+        assert line == (
+            "error: 256 angular cells cannot tile arcs of resolution 8204; "
+            "need at least 2^8205"
+        )
+
+
+class TestPrefixSpecs:
+    def test_zero_denominator(self, capsys):
+        assert "'prefix:1/0'" in refused(["cap-tree", "--set", "prefix:1/0"], capsys)
+
+    def test_deep_power_refused_before_it_is_formed(self, capsys):
+        # 2^4000000 alone takes 500 kB and 2^(10^11) would take 12.5 GB; the
+        # smaller exponent goes first, so a parse that forms the power fails
+        # the memory bound before it can meet the larger one
+        for q in (4_000_000, 100_000_000_000):
+            spec = f"prefix:1/2^{q}"
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResolutionError):
+                    parse_set_spec(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            line = refused(["cap-tree", "--set", spec], capsys)
+            assert line == f"error: t = 1/2^{q} needs resolution {q} > maximum 30"
+
+    def test_zero_numerator_forms_no_power(self):
+        tracemalloc.start()
+        try:
+            zero = parse_set_spec("prefix:0/2^4000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert zero == BoundarySet.empty()
+
+    def test_reduced_resolution_decides(self):
+        # 2^40 / 2^64 is 2^-24: the cancelling power of two is not held against it
+        assert parse_set_spec(f"prefix:{2**40}/2^64") == parse_set_spec("prefix:1/2^24")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cap-cond", "--set", "full"],
+        ["experiment", "blowup", "--set", "prefix:1/2"],
+        ["experiment", "plateau", "--eps", "0.25"],
+        ["experiment", "lowerbound", "--eps", "0.2", "--samples", "1", "--seed", "1"],
+        ["experiment", "compare", "--set", "prefix:1/2", *GRID],
+        ["experiment", "conjecture", "--delta", "0.25"],
+    ],
+    ids=["cap-cond", "blowup", "plateau", "lowerbound", "compare", "conjecture"],
+)
+def test_negative_n_max(argv, capsys):
+    line = refused([*argv, "--n-max", "-1"], capsys)
+    assert line == "error: need n_max >= 0, got -1"
