@@ -178,7 +178,7 @@ def _carve_plan(target, tol, matrix, local_hi, max_resolution):
     return x_star, tol_local
 
 
-def _bisect_cut(target, tol, mode, base, max_resolution):
+def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH):
     """Refine a dyadic cut t until the derived set's capacity hits ``target +- tol``.
 
     ``mode`` is ``trim`` (base intersected with the arc [0, t]) or ``union``
@@ -188,10 +188,12 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
     fractional-linear bracket map, and runs of 0-bits through uniform regions
     are composed in closed form.
 
-    Returns ``(set, None)`` on success.  When the bracket contracts too slowly
-    (its gap decays only harmonically around some targets) the search stops
-    after an iteration budget and instead returns ``(None, state)`` so the
-    caller can finish the job by re-targeting the cut subtree.
+    Around some targets the bracket gap decays only harmonically.  Once the
+    cut is deep (or the iteration budget runs out) the bracket map
+    F(v) = (A v + B) / (C v + D) is inverted at the target instead, and the
+    undecided subtree is rebuilt for the local value F^-1(target), whose
+    tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion
+    gains accuracy geometrically per carve level.
     """
     base_set = base if base is not None else BoundarySet.full()
     memo = _memo(base_set, False)  # every node on the cut path, leaves too
@@ -215,16 +217,16 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
 
         if f_lo == target:
-            return _closure_set(bits, False, base_root, mode), None
+            return _closure_set(bits, False, base_root, mode)
         if f_hi == target:
-            return _closure_set(bits, True, base_root, mode), None
+            return _closure_set(bits, True, base_root, mode)
         near_lo = abs(f_lo - target) <= inner_tol
         near_hi = abs(f_hi - target) <= inner_tol
         if near_lo or near_hi:
             pick_hi = near_hi and (
                 not near_lo or abs(f_hi - target) < abs(f_lo - target)
             )
-            return _closure_set(bits, pick_hi, base_root, mode), None
+            return _closure_set(bits, pick_hi, base_root, mode)
         if v_lo == v_hi:
             # the cut crossed into a region where the value is constant, and
             # the plateau value itself is out of tolerance
@@ -233,12 +235,12 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
                 f"bracket is [{f_lo}, {f_hi}]",
                 bracket=(f_lo, f_hi),
             )
-        if len(bits) >= _CARVE_BITS and _carve_plan(
-            target, tol, (ma, mb, mc, md), v_hi, max_resolution
-        ):
-            # deep cut with accumulated sensitivity: rebuilding the subtree
-            # below the cut at relaxed tolerance beats refining further
-            return None, (bits, (ma, mb, mc, md), ptr)
+        if len(bits) >= _CARVE_BITS:
+            plan = _carve_plan(target, tol, (ma, mb, mc, md), v_hi, max_resolution)
+            if plan is not None:
+                # deep cut with accumulated sensitivity: rebuilding the
+                # subtree below the cut at relaxed tolerance beats refining
+                break
         if len(bits) >= max_resolution:
             raise ToleranceError(
                 f"could not reach tolerance {tol} within resolution "
@@ -270,12 +272,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
                         bits.extend([0] * zeros)
                         ma, mc = ma + mb * zeros, mc + md * zeros
                         norm = max(ma, mb, mc, md)
-                        ma, mb, mc, md = (
-                            ma / norm,
-                            mb / norm,
-                            mc / norm,
-                            md / norm,
-                        )
+                        ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
 
         left = _node_child(ptr, 0)
         right = _node_child(ptr, 1)
@@ -288,7 +285,7 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
 
         if f_mid == target:
             bits.append(1)
-            return _closure_set(bits, False, base_root, mode), None
+            return _closure_set(bits, False, base_root, mode)
         if f_mid <= target:
             bit = 1
             a = memo[left] if mode == "trim" else 0.5
@@ -302,34 +299,11 @@ def _bisect_cut(target, tol, mode, base, max_resolution):
         mc, md = mc + md, mc * a + md * (1.0 + a)
         norm = max(ma, mb, mc, md)
         ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
+    else:
+        local_hi = memo[ptr] if mode == "trim" else 0.5
+        plan = _carve_plan(target, tol, (ma, mb, mc, md), local_hi, max_resolution)
 
-    return None, (bits, (ma, mb, mc, md), ptr)
-
-
-def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH):
-    """Drive the cut bisection, carving the cut subtree when it stalls.
-
-    Stalls happen where the bracket gap decays only harmonically; then the
-    bracket map F(v) = (A v + B) / (C v + D) is inverted at the target and the
-    undecided subtree is rebuilt for the local value F^-1(target), whose
-    tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion gains
-    accuracy geometrically per carve level.
-    """
-    result, state = _bisect_cut(target, tol, mode, base, max_resolution)
-    if result is not None:
-        return result
-    bits, matrix, ptr = state
-
-    base_set = base if base is not None else BoundarySet.full()
-    local_hi = (
-        _memo(base_set, False)[ptr] if mode == "trim" else 0.5
-    )
-    plan = (
-        _carve_plan(target, tol, matrix, local_hi, max_resolution)
-        if carve_depth > 0
-        else None
-    )
-    if plan is None:
+    if plan is None or carve_depth <= 0:
         raise ToleranceError(
             f"cut search stalled and the cut subtree cannot be rebuilt at a "
             f"useful tolerance; target {target}, tolerance {tol}",
@@ -339,7 +313,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
     site = _solve_cut(
         x_star, tol_local, "trim", None, max_resolution, carve_depth - 1
     )
-    return _closure_set(bits, None, base_set._root, mode, site_node=site._root)
+    return _closure_set(bits, None, base_root, mode, site_node=site._root)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +360,8 @@ def _fallback_pieces():
     themselves), so the candidates are odd-numerator cuts whose capacities do
     not land back on the family causing the trouble.
     """
-    for cut in (
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(3, 8),
-        Fraction(5, 8),
-        Fraction(7, 8),
-        Fraction(5, 16),
-        Fraction(11, 16),
-        Fraction(15, 16),
-    ):
-        yield cut
+    for p, q in ((1, 2), (3, 4), (3, 8), (5, 8), (7, 8), (5, 16), (11, 16), (15, 16)):
+        yield Fraction(p, q)
     for k in range(4, 64):
         yield Fraction(3, 1 << k)
         yield Fraction(5, 1 << (k + 1))

@@ -160,12 +160,6 @@ class CapacityTable:
     def root_value(self):
         return self.values[VertexId(0, 0)]
 
-    def to_json_obj(self):
-        return [
-            {"vertex": [v.level, v.index], "c": _num(self.values[v])}
-            for v in sorted(self.values)
-        ]
-
 
 def capacity_table(e: BoundarySet, exact: bool = False) -> CapacityTable:
     """Materialized capacity table; size is the number of trie positions."""

@@ -177,6 +177,7 @@ def _cmd_cap_cond(args):
 
 def _cmd_extremal(args):
     bset = parse_set_spec(args.set, args.tol)
+    bset.check_exportable()
     flux = extremal(bset, exact=args.exact)
     vertices = flux.to_json_obj()
     payload = {

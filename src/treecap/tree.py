@@ -7,16 +7,19 @@ set is the union of the shadows of the Full leaves, equivalently a finite
 union of closed dyadic arcs.  Tries are canonical (no two sibling leaves share
 a tag) and immutable, so subtrees can be shared freely between sets.
 
-The trie is the only representation.  `_fold` computes a value per distinct
-node bottom-up (capacities, hash, resolution), `_apply` combines two tries by
-a memoized node-pair walk (union, intersection), and `_trie_of_arcs` builds a
-trie from sorted leaves in one pass.  The two traversals cost time in the
-distinct nodes of the shared trie, not in its positions; only leaf
-enumeration and serialization grow with the positions.
+The trie is the only representation, and `_join` makes every internal node
+of it.  `_fold` computes a value per distinct node bottom-up (capacities,
+hash, resolution, node count), `_apply` combines two tries by a memoized
+node-pair walk (union, intersection), and `_trie_of_arcs` builds a trie from
+sorted disjoint arcs in one pass: leaf lists, shadows and prefix arcs.  The
+two traversals cost time in the distinct nodes of the shared trie, not in its
+positions; only leaf enumeration and serialization grow with the positions.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -42,11 +45,6 @@ class VertexId:
             raise ValueError(f"level must be >= 0, got {self.level}")
         if not 0 <= self.index < (1 << self.level):
             raise ValueError(f"index {self.index} out of range at level {self.level}")
-
-    @property
-    def depth(self) -> int:
-        """Natural distance from the root."""
-        return self.level
 
     def parent(self) -> "VertexId":
         if self.level == 0:
@@ -264,14 +262,7 @@ class BoundarySet:
     @staticmethod
     def shadow(vertex: VertexId) -> "BoundarySet":
         """The shadow S(x): every boundary point passing through ``vertex``."""
-        node = _FULL_LEAF
-        level, index = vertex.level, vertex.index
-        for k in range(level):
-            bit = (index >> k) & 1
-            node = _Node(_INTERNAL_TAG, _EMPTY_LEAF, node) if bit else _Node(
-                _INTERNAL_TAG, node, _EMPTY_LEAF
-            )
-        return BoundarySet(node)
+        return BoundarySet(_trie_of_arcs([vertex]))
 
     @staticmethod
     def from_full_leaves(pairs: Iterable[tuple[int, int]]) -> "BoundarySet":
@@ -333,17 +324,28 @@ class BoundarySet:
 
     def node_count(self) -> int:
         """Number of distinct trie nodes (shared subtrees counted once)."""
-        seen = set()
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node.tag == _INTERNAL_TAG:
-                stack.append(node.left)
-                stack.append(node.right)
-        return len(seen)
+        return len(_fold(self._root, 0, 0, lambda l, r, _: 0))
+
+    def check_exportable(self) -> None:
+        """Raise ``ResolutionError`` if some position index would not print in decimal.
+
+        CPython prints no int of more than ``sys.get_int_max_str_digits()``
+        digits (0: no limit).  An index has one bit per level below its path's
+        first right turn, so one fold of (height, most index bits) bounds them
+        all before any leaf or position is listed.
+        """
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        max_bits = int(limit * math.log2(10))  # 2^b - 1 prints in `limit` digits
+        if limit and self._folded(
+            "index_bits", (0, 0), (0, 0),
+            lambda l, r, _: (1 + max(l[0], r[0]), max(l[1], 1 + r[0])),
+        )[1] > max_bits:
+            raise ResolutionError(
+                f"cannot export a set of resolution {self.resolution}: its indices "
+                f"pass the interpreter's {limit}-digit limit for printing ints "
+                f"(sys.set_int_max_str_digits); any set of resolution up to "
+                f"{max_bits} exports"
+            )
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:
         """The set as maximal disjoint closed arcs, endpoints as turn fractions."""
@@ -394,6 +396,7 @@ class BoundarySet:
 
     def to_text(self) -> str:
         """One ``n:j`` line per Full leaf, sorted by (n, j)."""
+        self.check_exportable()
         return "\n".join(f"{n}:{j}" for n, j in sorted(self.full_leaves()))
 
     @staticmethod
@@ -411,6 +414,7 @@ class BoundarySet:
         return BoundarySet.from_full_leaves(pairs)
 
     def to_json_obj(self) -> list[list[int]]:
+        self.check_exportable()
         return [[n, j] for n, j in sorted(self.full_leaves())]
 
     @staticmethod
@@ -431,9 +435,9 @@ def prefix_set(
 ) -> BoundarySet:
     """The closed set of boundary points mapping into the circle arc [0, t].
 
-    ``t`` must be a dyadic rational in [0, 1].  Along the binary expansion of
-    ``t`` every left sibling of the expansion path becomes a Full leaf, which
-    is exactly the canonical trie of the arc preimage.
+    ``t`` must be a dyadic rational in [0, 1].  Each binary digit 1 of ``t``
+    at place k contributes the level-k arc just left of the expansion path,
+    and these arcs tile [0, t].
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
@@ -447,19 +451,13 @@ def prefix_set(
         return _EMPTY_SET
     if t == 1:
         return _FULL_SET
-    bits_int = t.numerator  # q bits, bit q-1 is the leading binary digit
-    return BoundarySet(_path_trie(bits_int, q))
-
-
-def _path_trie(bits_int: int, q: int) -> _Node:
-    """Trie of the arc [0, 0.b1..bq] built bottom-up; bq is bit 0 of ``bits_int``."""
-    node = _EMPTY_LEAF
-    for k in range(q):
-        if (bits_int >> k) & 1:
-            node = _join(_FULL_LEAF, node)
-        else:
-            node = _join(node, _EMPTY_LEAF)
-    return node
+    p = t.numerator  # t = p / 2^q, so digit k of t is bit q - k of p
+    arcs = [
+        VertexId(k, (p >> (q - k)) - 1)
+        for k in range(1, q + 1)
+        if (p >> (q - k)) & 1
+    ]
+    return BoundarySet(_trie_of_arcs(arcs))
 
 
 def _dyadic_resolution(x: Fraction) -> int:

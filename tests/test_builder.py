@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecap import builder
 from treecap import (
     BoundarySet,
     VertexId,
@@ -297,3 +299,109 @@ class TestRandomSets:
     def test_depth_bound(self):
         for seed in range(30):
             assert random_boundary_set(seed, max_depth=5).resolution <= 5
+
+
+def _pin(bset):
+    """Resolution, leaf count, capacity repr and a digest of the leaves.
+
+    Indices enter the digest modulo a prime, so deep leaves never meet the
+    interpreter's limit on printing large ints.
+    """
+    digest = hashlib.sha1()
+    for n, j in bset.full_leaves():
+        digest.update(f"{n}:{j % (2**61 - 1)};".encode())
+    return (
+        bset.resolution,
+        len(bset.full_leaves()),
+        repr(capacity(bset)),
+        digest.hexdigest(),
+    )
+
+
+class TestPinnedOutput:
+    """Builder output pinned bit for bit, including deep carved cuts."""
+
+    @pytest.mark.parametrize(
+        "target, tol, pin",
+        [
+            (0.1234, 1e-10, (27, 7, "0.12340000000000001", "14322f6a34080beff5e1eb1b1df109161544176b")),
+            (0.2718281828, 1e-9, (39, 6, "0.27182818352059923", "ee8a072b95e3b1e945babfb55698718ab9da04d4")),
+            (0.4142135, 1e-10, (2421, 6, "0.4142135", "2b962a64beac665a76a1c5fa613e36e41aa97aed")),
+            (0.05, 1e-9, (18, 1, "0.05000000000000004", "cd8f9b36bf4b0c219a06363e7173fb38572cba1c")),
+            (1 / 3 + 1e-9, 1e-10, (15346, 6, "0.3333333343460171", "faf5696ff3b0ee4ceb969e9de9e7175ec41b690e")),
+            (1 / 3 - 1e-9, 1e-10, (27, 15, "0.33333333233992263", "f9216df6941f5a2a269edaf377b2de27e6607124")),
+            (1 / 4 + 1e-9, 1e-10, (23129, 7, "0.25000000100001113", "046d3d5334a0fbb67b5591e5d2bd5a5ba30b2347")),
+            (1 / 5 - 1e-9, 1e-10, (20, 14, "0.19999999897820608", "1f4a713a54a004dd7ca1f724530f02d3316a7c9f")),
+            (1 / 12 + 1e-9, 1e-10, (9468, 4, "0.08333333433341418", "f6a1a82ec6c82b1412fe3307036728609f55ebf0")),
+            (0.3333334, 1e-9, (55113, 4, "0.33333340000072", "39a55bce5d807303dd5fbb5121d8846d3b030730")),
+        ],
+    )
+    def test_set_of_capacity(self, target, tol, pin):
+        assert _pin(set_of_capacity(target, tol)) == pin
+
+    @pytest.mark.parametrize(
+        "seed, eps, pin",
+        [
+            (2, 0.2, (93, 18, "0.2000000198590254", "29a3666cfc66c6354050e2867dbe1b72fc7dbff3")),
+            (6, 0.2, (11025, 5, "0.20000002000001701", "5c362f4c4f15380cd06f97f34f4336ca3da2abff")),
+            (7, 0.3, (36026, 4, "0.3000000308509335", "a7f5c7ad0af241765fcc31f7736bfd23affe0352")),
+        ],
+    )
+    def test_calibrated_set(self, seed, eps, pin):
+        # the sampled bases of the lower-bound experiment, seed by seed
+        base = random_boundary_set(seed * 1_000_003, max_depth=8)
+        assert _pin(calibrated_set(base, eps * 1.0000001, 1e-9)) == pin
+
+    def test_equal_split(self):
+        carrier = equal_split(0.25, 4).carrier
+        assert _pin(carrier) == (36, 16, "0.25", "c95eef95d9acc4a98dba808962de260c1a1521c3")
+
+
+class TestSearchExits:
+    """Exits of the cut search that ordinary targets do not reach."""
+
+    def test_budget_exit_carves(self, monkeypatch):
+        monkeypatch.setattr(builder, "_ITERATION_BUDGET", 5)
+        target, tol = 0.3842495632985409, 1e-10
+        result = builder._solve_cut(
+            target, tol, "trim", None, builder.BISECTION_MAX_RESOLUTION
+        )
+        assert abs(capacity(result) - target) <= tol
+
+    def test_stalled_search_raises(self, monkeypatch):
+        monkeypatch.setattr(builder, "_ITERATION_BUDGET", 3)
+        with pytest.raises(ToleranceError, match="cut search stalled") as info:
+            builder._solve_cut(
+                1 / 3 + 1e-9, 1e-10, "trim", None, builder.BISECTION_MAX_RESOLUTION
+            )
+        assert info.value.bracket is None
+
+    def test_one_plan_per_carve(self, monkeypatch):
+        plans, carves = [], []
+        plan, solve = builder._carve_plan, builder._solve_cut
+
+        def spy_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def spy_solve(*args):
+            carves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(builder, "_carve_plan", spy_plan)
+        monkeypatch.setattr(builder, "_solve_cut", spy_solve)
+        set_of_capacity(1 / 5 + 1e-7, 1e-10)
+        # root-split retries search anew; a carve passes its remaining depth
+        depths = [args[5] for args in carves if len(args) == 6]
+        assert depths == [builder._CARVE_DEPTH - 1]
+        assert sum(p is not None for p in plans) == len(depths)
+
+    def test_carve_plan_refusals(self):
+        hi, res = 0.5, builder.BISECTION_MAX_RESOLUTION
+        # a degenerate bracket map cannot be inverted
+        assert builder._carve_plan(0.3, 1e-10, (1.0, 1.0, 1.0, 1.0), hi, res) is None
+        # a local target too small for the rebuilt subtree to afford
+        assert builder._carve_plan(1e-6, 1e-10, (1.0, 0.0, 0.0, 1.0), hi, res) is None
+        # no sensitivity gained: the relaxed tolerance would not be looser
+        assert builder._carve_plan(0.3, 1e-10, (1.0, 0.0, 0.0, 1.0), hi, res) is None
+        assert builder._carve_plan(0.03, 1e-10, (1.0, 0.0, 30.0, 1.0), hi, res) is not None

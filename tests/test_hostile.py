@@ -63,6 +63,30 @@ class TestSetDeeperThanGrid:
         )
 
 
+class TestDeepExport:
+    """Leaf indices that the interpreter would refuse to print in decimal."""
+
+    @pytest.mark.parametrize(
+        "argv, resolution",
+        [
+            (["build-set", "--eps", "0.3333334"], 55113),
+            (["extremal", "--set", "cap:0.3333334"], 55113),
+            (["equal-split", "--eps", "0.25", "--n", "13"], 16397),
+        ],
+        ids=["build-set", "extremal", "equal-split"],
+    )
+    def test_cli_exits_two(
+        self, argv, resolution, no_leaf_lists, default_digit_limit, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trie positions were walked")
+
+        monkeypatch.setattr(cli, "extremal", refuse)
+        line = refused(argv, capsys)
+        assert line.startswith(f"error: cannot export a set of resolution {resolution}: ")
+        assert line.endswith("any set of resolution up to 14284 exports")
+
+
 class TestPrefixSpecs:
     def test_zero_denominator(self, capsys):
         assert "'prefix:1/0'" in refused(["cap-tree", "--set", "prefix:1/0"], capsys)

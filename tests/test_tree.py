@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -329,3 +330,29 @@ class TestSharedTrieScale:
         rebuilt = equal_split(0.25, 12).carrier
         assert rebuilt is not carrier and rebuilt._root is not carrier._root
         assert rebuilt == carrier and hash(rebuilt) == hash(carrier)
+
+
+class TestExportLimit:
+    """Leaf text and JSON stop where the interpreter stops printing ints."""
+
+    def test_deepest_exportable_index(self, default_digit_limit):
+        # 2^14284 - 1 has 4,300 digits, the default limit; one level more does not print
+        index = (1 << 14284) - 1
+        shadow = BoundarySet.shadow(VertexId(14284, index))
+        assert shadow.to_text() == f"14284:{index}"
+        assert shadow.to_json_obj() == [[14284, index]]
+        deeper = BoundarySet.shadow(VertexId(14285, (1 << 14285) - 1))
+        for export in (deeper.to_text, deeper.to_json_obj):
+            with pytest.raises(ResolutionError, match="resolution 14285: .* up to 14284"):
+                export()
+
+    def test_deep_set_with_small_indices_exports(self, default_digit_limit):
+        left = BoundarySet.shadow(VertexId(20000, 5))
+        assert left.to_text() == "20000:5"
+        assert BoundarySet.from_json_obj(left.to_json_obj()) == left
+
+    def test_no_limit(self, default_digit_limit):
+        sys.set_int_max_str_digits(0)
+        index = (1 << 14285) - 1
+        deeper = BoundarySet.shadow(VertexId(14285, index))
+        assert deeper.to_json_obj() == [[14285, index]]
