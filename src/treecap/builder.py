@@ -18,15 +18,7 @@ from random import Random
 
 from .capacity import capacity, _memo
 from .errors import CalibrationError, ToleranceError, TreecapError
-from .tree import (
-    BoundarySet,
-    prefix_set,
-    _EMPTY_LEAF,
-    _FULL_LEAF,
-    _FULL_TAG,
-    _INTERNAL_TAG,
-    _join,
-)
+from .tree import BoundarySet, prefix_set, _EMPTY_LEAF, _FULL_LEAF, _child, _join
 
 BISECTION_MAX_RESOLUTION = 200_000
 
@@ -110,13 +102,6 @@ def plateau_bound(eps: float) -> float:
 # bisection on dyadic cut points
 # ---------------------------------------------------------------------------
 
-def _node_child(node, bit: int):
-    """Child along the cut path; leaves stand for their own uniform regions."""
-    if node.tag == _INTERNAL_TAG:
-        return node.right if bit else node.left
-    return node
-
-
 def _closure_set(
     bits: list[int], close_full, base_root, mode, site_node=None
 ) -> BoundarySet:
@@ -130,7 +115,7 @@ def _closure_set(
     """
     ptrs = [base_root]
     for b in bits:
-        ptrs.append(_node_child(ptrs[-1], b))
+        ptrs.append(_child(ptrs[-1], b))
     if site_node is not None:
         node = site_node
     elif mode == "trim":
@@ -139,10 +124,10 @@ def _closure_set(
         node = _FULL_LEAF if close_full else ptrs[-1]
     for k in range(len(bits) - 1, -1, -1):
         if bits[k]:
-            sibling = _node_child(ptrs[k], 0) if mode == "trim" else _FULL_LEAF
+            sibling = _child(ptrs[k], 0) if mode == "trim" else _FULL_LEAF
             node = _join(sibling, node)
         else:
-            sibling = _EMPTY_LEAF if mode == "trim" else _node_child(ptrs[k], 1)
+            sibling = _EMPTY_LEAF if mode == "trim" else _child(ptrs[k], 1)
             node = _join(node, sibling)
     return BoundarySet(node)
 
@@ -216,10 +201,6 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
             v_lo, v_hi = memo[ptr], 0.5
         f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
 
-        if f_lo == target:
-            return _closure_set(bits, False, base_root, mode)
-        if f_hi == target:
-            return _closure_set(bits, True, base_root, mode)
         near_lo = abs(f_lo - target) <= inner_tol
         near_hi = abs(f_hi - target) <= inner_tol
         if near_lo or near_hi:
@@ -250,10 +231,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
 
         # inside a uniform region every 0-bit composes v -> v / (1 + v); jump
         # the whole run of them at once
-        uniform = ptr.tag != _INTERNAL_TAG and (
-            (mode == "trim") == (ptr.tag == _FULL_TAG)
-        )
-        if uniform:
+        if ptr is (_FULL_LEAF if mode == "trim" else _EMPTY_LEAF):
             denom = ma - mc * target
             if denom > 0.0:
                 x_star = (md * target - mb) / denom
@@ -274,8 +252,8 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
                         norm = max(ma, mb, mc, md)
                         ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
 
-        left = _node_child(ptr, 0)
-        right = _node_child(ptr, 1)
+        left = _child(ptr, 0)
+        right = _child(ptr, 1)
         # capacity contributed below the cut vertex when t sits at its midpoint
         if mode == "trim":
             s = memo[left]
@@ -293,7 +271,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
             bit = 0
             a = 0.0 if mode == "trim" else memo[right]
         bits.append(bit)
-        ptr = _node_child(ptr, bit)
+        ptr = _child(ptr, bit)
         # compose with the sibling merge v -> (v + a) / (v + 1 + a)
         ma, mb = ma + mb, ma * a + mb * (1.0 + a)
         mc, md = mc + md, mc * a + md * (1.0 + a)
@@ -399,7 +377,6 @@ def calibrated_set(
     base: BoundarySet,
     target: float,
     tol: float,
-    max_resolution: int = BISECTION_MAX_RESOLUTION,
 ) -> BoundarySet:
     """Adjust ``base`` to capacity ``target`` by trimming with or joining an arc preimage.
 
@@ -416,7 +393,7 @@ def calibrated_set(
         return base
     mode = "trim" if c0 > target else "union"
     try:
-        result = _solve_cut(target, tol, mode, base, max_resolution)
+        result = _solve_cut(target, tol, mode, base, BISECTION_MAX_RESOLUTION)
     except ToleranceError as exc:
         raise CalibrationError(
             f"cannot calibrate set of capacity {c0} to {target}: {exc}"
@@ -477,7 +454,6 @@ def equal_split(
     epsilon: float,
     n: int,
     tol: float = 1e-9,
-    max_resolution: int = BISECTION_MAX_RESOLUTION,
 ) -> SplitFamily:
     """Build the equal-split family member at split depth ``n``.
 
@@ -489,7 +465,7 @@ def equal_split(
     if n < 0:
         raise ValueError(f"split depth must be >= 0, got {n}")
     e = split_levels(epsilon, n)
-    piece = set_of_capacity(e[n], tol * 0.5**n, max_resolution)
+    piece = set_of_capacity(e[n], tol * 0.5**n)
     node = piece._root
     for _ in range(n):
         node = _join(node, node)

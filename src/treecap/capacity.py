@@ -23,14 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateSetError, TreecapError
-from .tree import (
-    BoundarySet,
-    VertexId,
-    _EMPTY_TAG,
-    _FULL_TAG,
-    _INTERNAL_TAG,
-    _fold,
-)
+from .tree import ROOT, BoundarySet, VertexId, _EMPTY_LEAF, _FULL_LEAF, _child, _fold
 
 MAX_BRUTE_FORCE_DEPTH = 8
 
@@ -107,10 +100,9 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
     memo = {}
 
     def settled(node, remaining):
-        tag = node.tag
-        if tag == _EMPTY_TAG:
+        if node is _EMPTY_LEAF:
             return zero
-        if tag == _FULL_TAG:
+        if node is _FULL_LEAF:
             return full_tail(remaining)
         if remaining == 0:
             return leaf_value(node)
@@ -125,16 +117,17 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
                 stack.pop()
                 continue
             node, remaining = key
-            left_value = settled(node.left, remaining - 1)
-            right_value = settled(node.right, remaining - 1)
+            left, right = _child(node, 0), _child(node, 1)
+            left_value = settled(left, remaining - 1)
+            right_value = settled(right, remaining - 1)
             if left_value is not None and right_value is not None:
                 memo[key] = left_value + right_value
                 stack.pop()
             else:
                 if right_value is None:
-                    stack.append((node.right, remaining - 1))
+                    stack.append((right, remaining - 1))
                 if left_value is None:
-                    stack.append((node.left, remaining - 1))
+                    stack.append((left, remaining - 1))
         value = memo[(root, n)]
     if not exact and math.isinf(value):
         raise TreecapError(
@@ -149,6 +142,37 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
 # ---------------------------------------------------------------------------
 
 
+def _positions(e: BoundarySet, exact: bool):
+    """Subtree capacity ``c``, extremal flux ``h`` and path sum ``H`` per trie position.
+
+    One top-down walk: the root carries ``h = c(root)`` and every child gets
+    ``h(child) = (1 - H(parent)) * c(child)``.  `energy` sums ``h`` in the
+    order of its keys, so the walk fixes that order.
+    """
+    cap = _value_of(e, exact)
+    one = Fraction(1) if exact else 1.0
+    c_root = cap(e._root)
+    c = {ROOT: c_root}
+    h = {ROOT: c_root}
+    H = {ROOT: c_root}
+    stack = [(e._root, 0, 0, c_root)]  # node, level, index, H at node
+    while stack:
+        node, level, index, h_sum = stack.pop()
+        left = _child(node, 0)
+        if left is node:  # a leaf: no positions below it
+            continue
+        deficit = one - h_sum
+        for child, j in ((left, 2 * index), (_child(node, 1), 2 * index + 1)):
+            cc = cap(child)
+            hc = deficit * cc
+            v = VertexId(level + 1, j)
+            c[v] = cc
+            h[v] = hc
+            H[v] = h_sum + hc
+            stack.append((child, level + 1, j, h_sum + hc))
+    return c, h, H
+
+
 @dataclass
 class CapacityTable:
     """Per-vertex subtree capacities over the explicit trie positions of a set."""
@@ -158,21 +182,12 @@ class CapacityTable:
 
     @property
     def root_value(self):
-        return self.values[VertexId(0, 0)]
+        return self.values[ROOT]
 
 
 def capacity_table(e: BoundarySet, exact: bool = False) -> CapacityTable:
     """Materialized capacity table; size is the number of trie positions."""
-    value = _value_of(e, exact)
-    values = {}
-    stack = [(e._root, 0, 0)]
-    while stack:
-        node, level, index = stack.pop()
-        values[VertexId(level, index)] = value(node)
-        if node.tag == _INTERNAL_TAG:
-            stack.append((node.right, level + 1, 2 * index + 1))
-            stack.append((node.left, level + 1, 2 * index))
-    return CapacityTable(e, values)
+    return CapacityTable(e, _positions(e, exact)[0])
 
 
 @dataclass
@@ -192,38 +207,38 @@ class FluxTable:
 
     @property
     def root_capacity(self):
-        return self.c[VertexId(0, 0)]
+        return self.c[ROOT]
 
     def h_at(self, vertex: VertexId):
-        node, prefix = self._descend(vertex)
-        if node.tag == _INTERNAL_TAG or prefix == vertex:
+        prefix = self._position_of(vertex)
+        if prefix == vertex:
             return self.h[prefix]
-        if node.tag == _EMPTY_TAG:
+        if self.c[prefix] == 0:  # an Empty leaf
             return self.h[prefix] * 0
         gap = vertex.level - prefix.level
         return self.h[prefix] / (1 << gap)
 
     def H_at(self, vertex: VertexId):
-        node, prefix = self._descend(vertex)
-        if node.tag == _INTERNAL_TAG or prefix == vertex:
-            return self.H[prefix]
-        if node.tag == _EMPTY_TAG:
+        prefix = self._position_of(vertex)
+        if prefix == vertex or self.c[prefix] == 0:
             return self.H[prefix]
         gap = vertex.level - prefix.level
         value = self.H[prefix]
         one = Fraction(1) if isinstance(value, Fraction) else 1.0
         return one - (one - value) / (1 << gap)
 
-    def _descend(self, vertex: VertexId):
-        node = self.boundary_set._root
-        level = 0
-        index = 0
-        while level < vertex.level and node.tag == _INTERNAL_TAG:
-            bit = (vertex.index >> (vertex.level - level - 1)) & 1
-            node = node.right if bit else node.left
-            index = 2 * index + bit
-            level += 1
-        return node, VertexId(level, index)
+    def _position_of(self, vertex: VertexId) -> VertexId:
+        """Deepest trie position on the path to ``vertex``: ``vertex`` or a leaf.
+
+        Every internal position has ``c > 0``, so ``c == 0`` marks an Empty leaf.
+        """
+        prefix = ROOT
+        for level in range(1, vertex.level + 1):
+            step = VertexId(level, vertex.index >> (vertex.level - level))
+            if step not in self.h:
+                break
+            prefix = step
+        return prefix
 
     def to_json_obj(self):
         return [
@@ -240,37 +255,15 @@ class FluxTable:
 def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
     """Extremal flux for the capacity problem of ``e``.
 
-    Top-down rescaling: the root carries ``h = c(root)`` and every child gets
-    ``h(child) = (1 - H(parent)) * c(child)``, which makes ``h`` additive and
-    reproduces the subtree capacities after renormalization.  Raises for null
-    sets, where no equilibrium normalization exists.
+    Top-down rescaling (`_positions`) makes ``h`` additive and reproduces the
+    subtree capacities after renormalization.  Raises for null sets, where no
+    equilibrium normalization exists.
     """
-    root = e._root
-    cap = _value_of(e, exact)
-    one = Fraction(1) if exact else 1.0
-    c_root = cap(root)
-    if c_root == 0:
+    if capacity(e, exact) == 0:
         raise DegenerateSetError(
             "the set has zero capacity; the extremal flux is identically zero"
         )
-    c = {VertexId(0, 0): c_root}
-    h = {VertexId(0, 0): c_root}
-    H = {VertexId(0, 0): c_root}
-    stack = [(root, 0, 0, c_root)]  # node, level, index, H at node
-    while stack:
-        node, level, index, h_sum = stack.pop()
-        if node.tag != _INTERNAL_TAG:
-            continue
-        deficit = one - h_sum
-        for child, j in ((node.left, 2 * index), (node.right, 2 * index + 1)):
-            cc = cap(child)
-            hc = deficit * cc
-            v = VertexId(level + 1, j)
-            c[v] = cc
-            h[v] = hc
-            H[v] = h_sum + hc
-            stack.append((child, level + 1, j, h_sum + hc))
-    return FluxTable(e, c, h, H)
+    return FluxTable(e, *_positions(e, exact))
 
 
 def energy(flux: FluxTable):

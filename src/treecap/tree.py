@@ -2,18 +2,20 @@
 
 Vertices are labelled ``(level, index)`` with root ``(0, 0)``; the vertex
 ``(n, j)`` owns the circle arc ``[j/2^n, (j+1)/2^n]``.  A closed boundary set
-is stored as a finite binary trie whose leaves are tagged Full or Empty; the
-set is the union of the shadows of the Full leaves, equivalently a finite
-union of closed dyadic arcs.  Tries are canonical (no two sibling leaves share
-a tag) and immutable, so subtrees can be shared freely between sets.
+is stored as a finite binary trie whose leaves are Full or Empty; the set is
+the union of the shadows of the Full leaves, equivalently a finite union of
+closed dyadic arcs.  The two leaves are shared singletons (`_FULL_LEAF`,
+`_EMPTY_LEAF`).  Tries are canonical (no two sibling leaves are the same leaf)
+and immutable, so subtrees can be shared freely between sets.
 
-The trie is the only representation, and `_join` makes every internal node
-of it.  `_fold` computes a value per distinct node bottom-up (capacities,
-hash, resolution, node count), `_apply` combines two tries by a memoized
-node-pair walk (union, intersection), and `_trie_of_arcs` builds a trie from
-sorted disjoint arcs in one pass: leaf lists, shadows and prefix arcs.  The
-two traversals cost time in the distinct nodes of the shared trie, not in its
-positions; only leaf enumeration and serialization grow with the positions.
+The trie is the only representation, and no other module reads its nodes:
+`_join` builds every internal node, `_child` descends one level, and `_fold`
+computes a value per distinct node bottom-up (capacities, hash, resolution,
+node count).  `_apply` combines two tries by a memoized node-pair walk (union,
+intersection), and `_trie_of_arcs` builds a trie from sorted disjoint arcs in
+one pass: leaf lists, shadows and prefix arcs.  The two traversals cost time in
+the distinct nodes of the shared trie, not in its positions; only leaf
+enumeration and serialization grow with the positions.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from typing import Iterable
 from .errors import ResolutionError, SetSpecError
 
 DEFAULT_MAX_RESOLUTION = 30
-
-_EMPTY_TAG = 0
-_FULL_TAG = 1
-_INTERNAL_TAG = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -107,25 +105,31 @@ def boundary_rho(a: VertexId, b: VertexId) -> Fraction:
 
 
 class _Node:
-    """Immutable trie node; ``tag`` is EMPTY/FULL for leaves, INTERNAL otherwise."""
+    """Immutable trie node; only the two leaf singletons have no children."""
 
-    __slots__ = ("tag", "left", "right")
+    __slots__ = ("left", "right")
 
-    def __init__(self, tag, left=None, right=None):
-        self.tag = tag
+    def __init__(self, left=None, right=None):
         self.left = left
         self.right = right
 
 
-_EMPTY_LEAF = _Node(_EMPTY_TAG)
-_FULL_LEAF = _Node(_FULL_TAG)
+_EMPTY_LEAF = _Node()
+_FULL_LEAF = _Node()
 
 
 def _join(left: _Node, right: _Node) -> _Node:
-    """Combine two subtrees one level up, merging equal-tag leaf pairs."""
-    if left.tag == right.tag and left.tag != _INTERNAL_TAG:
+    """Combine two subtrees one level up, merging a pair of equal leaves."""
+    if left is right and left.left is None:
         return left
-    return _Node(_INTERNAL_TAG, left, right)
+    return _Node(left, right)
+
+
+def _child(node: _Node, bit: int) -> _Node:
+    """Child of ``node`` on side ``bit``; a leaf stands for its whole region."""
+    if node.left is None:
+        return node
+    return node.right if bit else node.left
 
 
 def _fold(root: _Node, full, empty, merge) -> dict:
@@ -144,12 +148,12 @@ def _fold(root: _Node, full, empty, merge) -> dict:
         if node in memo:
             stack.pop()
             continue
-        tag = node.tag
-        if tag != _INTERNAL_TAG:
-            memo[node] = full if tag == _FULL_TAG else empty
+        left = node.left
+        if left is None:
+            memo[node] = full if node is _FULL_LEAF else empty
             stack.pop()
             continue
-        left, right = node.left, node.right
+        right = node.right
         lv = get(left)
         rv = get(right)
         if lv is not None and rv is not None:
@@ -171,13 +175,13 @@ def _apply(a: _Node, b: _Node, union: bool) -> _Node:
     union a Full leaf absorbs and an Empty leaf yields the other side; for an
     intersection the roles swap.
     """
-    absorbing, neutral = (_FULL_TAG, _EMPTY_TAG) if union else (_EMPTY_TAG, _FULL_TAG)
+    absorbing, neutral = (_FULL_LEAF, _EMPTY_LEAF) if union else (_EMPTY_LEAF, _FULL_LEAF)
     memo = {}
 
     def settled(x, y):
-        if x is y or x.tag == absorbing or y.tag == neutral:
+        if x is y or x is absorbing or y is neutral:
             return x
-        if y.tag == absorbing or x.tag == neutral:
+        if y is absorbing or x is neutral:
             return y
         return memo.get((x, y))
 
@@ -208,32 +212,38 @@ def _trie_of_arcs(arcs: list[VertexId]) -> _Node:
 
     A depth-first walk that descends only into the vertex holding the next
     arc and closes every other subtree as Empty, so it visits each node of the
-    result once: time linear in the trie, without recursion.
+    result once: time linear in the trie, without recursion.  Each arc's turns
+    are read once, as a bit string, and the walk counts the leading levels of
+    its path that follow them: O(1) per level whatever the index size.
     """
-    pending = []  # [level, index, left subtree or None] of ancestors being built
-    level = index = p = 0
+    # each arc's turns from the root, one "0"/"1" per level; the slice drops
+    # the "0" that the root's index would print as
+    paths = [format(v.index, f"0{v.level}b")[: v.level] for v in arcs]
+    pending = []  # per ancestor of the current vertex: left subtree, None while built
+    p = 0
+    agree = 0 if arcs else -1  # leading levels of the current path on paths[p]
     while True:
-        arc = arcs[p] if p < len(arcs) else None
-        if arc is not None and arc.level >= level and (
-            arc.index >> (arc.level - level) == index
-        ):
-            if arc.level > level:
-                pending.append([level, index, None])
-                level, index = level + 1, 2 * index
+        level = len(pending)
+        if agree == level:
+            if level < len(paths[p]):
+                pending.append(None)
+                agree += paths[p][level] == "0"
                 continue
             node = _FULL_LEAF
             p += 1
+            agree = confluent(arcs[p - 1], arcs[p]).level if p < len(arcs) else -1
         else:
             node = _EMPTY_LEAF
         # node is finished: join it into every parent whose right child it
         # completes, then start the right child of the nearest open parent
-        while pending and pending[-1][2] is not None:
-            node = _join(pending.pop()[2], node)
+        while pending and pending[-1] is not None:
+            node = _join(pending.pop(), node)
         if not pending:
             return node
-        parent = pending[-1]
-        parent[2] = node
-        level, index = parent[0] + 1, 2 * parent[1] + 1
+        pending[-1] = node
+        d = len(pending) - 1
+        if agree >= d:
+            agree = d + (paths[p][d] == "1")
 
 
 class BoundarySet:
@@ -284,10 +294,10 @@ class BoundarySet:
     # -- basic queries ------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return self._root.tag == _EMPTY_TAG
+        return self._root is _EMPTY_LEAF
 
     def is_full(self) -> bool:
-        return self._root.tag == _FULL_TAG
+        return self._root is _FULL_LEAF
 
     def full_leaves(self) -> list[tuple[int, int]]:
         """(level, index) labels of the Full leaves, in arc (left-to-right) order.
@@ -301,9 +311,9 @@ class BoundarySet:
             stack = [(self._root, 0, 0)]
             while stack:
                 node, level, index = stack.pop()
-                if node.tag == _FULL_TAG:
+                if node is _FULL_LEAF:
                     leaves.append((level, index))
-                elif node.tag == _INTERNAL_TAG:
+                elif node.left is not None:
                     stack.append((node.right, level + 1, 2 * index + 1))
                     stack.append((node.left, level + 1, 2 * index))
             self._cache["leaves"] = leaves
@@ -378,9 +388,7 @@ class BoundarySet:
 
     def __hash__(self) -> int:
         # structural, like equality: equal sets have identical tries
-        return self._folded(
-            "hash", _FULL_TAG, _EMPTY_TAG, lambda l, r, _: hash((l, r))
-        )
+        return self._folded("hash", 1, 0, lambda l, r, _: hash((l, r)))
 
     def __repr__(self) -> str:
         if self.is_empty():
@@ -476,9 +484,8 @@ def _same_structure(a: _Node, b: _Node) -> bool:
         if x is y or (x, y) in seen:
             continue
         seen.add((x, y))
-        if x.tag != y.tag:
+        if x.left is None or y.left is None:  # distinct, and one is a leaf
             return False
-        if x.tag == _INTERNAL_TAG:
-            stack.append((x.left, y.left))
-            stack.append((x.right, y.right))
+        stack.append((x.left, y.left))
+        stack.append((x.right, y.right))
     return True

@@ -21,6 +21,7 @@ from treecap import (
     random_boundary_set,
 )
 from treecap.capacity import _num
+from treecap.tree import _EMPTY_LEAF, _child
 
 ROOT = VertexId(0, 0)
 
@@ -225,6 +226,45 @@ class TestExtremal:
             below = below.children()[0]
             deficit /= 2.0
             assert abs(1.0 - flux.H_at(below) - deficit) <= 1e-14
+
+
+def _descend(flux, vertex):
+    """Deepest trie node on the path to ``vertex``, found by walking the trie."""
+    node = flux.boundary_set._root
+    level = index = 0
+    while level < vertex.level and _child(node, 0) is not node:
+        bit = (vertex.index >> (vertex.level - level - 1)) & 1
+        node = _child(node, bit)
+        index = 2 * index + bit
+        level += 1
+    return node, VertexId(level, index)
+
+
+class TestFluxQueries:
+    """`h_at`/`H_at` answer from the table as a trie walk would."""
+
+    @given(boundary_sets(), st.booleans(), st.data())
+    @settings(max_examples=40)
+    def test_match_a_trie_walk(self, e, exact, data):
+        if e.is_empty():
+            return
+        flux = extremal(e, exact)
+        depth = e.resolution + 4
+        for _ in range(10):
+            level = data.draw(st.integers(0, depth))
+            v = VertexId(level, data.draw(st.integers(0, (1 << level) - 1)))
+            node, prefix = _descend(flux, v)
+            h, H = flux.h[prefix], flux.H[prefix]
+            if prefix == v:
+                want_h, want_H = h, H
+            elif node is _EMPTY_LEAF:
+                want_h, want_H = h * 0, H
+            else:
+                one = Fraction(1) if exact else 1.0
+                want_h = h / (1 << (level - prefix.level))
+                want_H = one - (one - H) / (1 << (level - prefix.level))
+            assert flux.h_at(v) == want_h
+            assert flux.H_at(v) == want_H
 
 
 class TestEnergy:

@@ -1,0 +1,31 @@
+"""Only `tree.py` knows how a trie node is laid out.
+
+The other modules reach nodes through `tree._join`, `tree._child` and
+`tree._fold` and compare them with the two leaf singletons, so a new node
+kind changes one module.  This parses each of them and fails on any read of a
+node field or any mention of the node class.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "treecap"
+NODE_FIELDS = {"left", "right", "tag"}
+
+
+@pytest.mark.parametrize(
+    "module", ["capacity.py", "builder.py", "disc.py", "experiments.py", "cli.py"]
+)
+def test_module_does_not_read_nodes(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS:
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "_Node":
+            found.append(f"line {node.lineno}: _Node")
+        elif isinstance(node, ast.alias) and "_Node" in (node.name, node.asname):
+            found.append(f"line {node.lineno}: imports _Node")
+    assert not found, f"{module} reads trie nodes: {found}"

@@ -313,6 +313,13 @@ class TestShadow:
         s = BoundarySet.shadow(v)
         assert s.intervals() == [v.arc()]
 
+    def test_deep_shadow_with_a_huge_index(self):
+        index = 2**79999 + 12345  # 80,000 bits, a right turn and then mostly left
+        shadow = BoundarySet.shadow(VertexId(80000, index))
+        assert shadow.resolution == 80000
+        assert capacity(shadow, exact=True) == Fraction(1, 80002)
+        assert shadow.full_leaves() == [(80000, index)]
+
 
 class TestSharedTrieScale:
     def test_carrier_algebra_works_on_the_shared_trie(self):
