@@ -102,33 +102,29 @@ def plateau_bound(eps: float) -> float:
 # bisection on dyadic cut points
 # ---------------------------------------------------------------------------
 
-def _closure_set(
-    bits: list[int], close_full, base_root, mode, site_node=None
-) -> BoundarySet:
+# A cut of the base at t is described by what the regions inside and outside
+# the arc [0, t] become: a leaf, or None where the base's own subtree stays.
+_TRIM = (None, _EMPTY_LEAF)  # base intersected with [0, t]
+_UNION = (_FULL_LEAF, None)  # base joined with [0, t]
+
+
+def _closure_set(bits: list[int], deepest, base_root, rule) -> BoundarySet:
     """Materialize the cut set by surgery along the path, sharing base subtrees.
 
-    For a trim the left siblings of the path keep the base's subtrees and the
-    right siblings are emptied; for a union the left siblings become Full and
-    the right siblings keep the base's subtrees.  ``close_full`` decides which
-    bracket endpoint the deepest vertex takes; alternatively ``site_node``
-    plants an explicit subtree at the cut vertex.
+    ``deepest`` is planted at the cut vertex; each left sibling of the path
+    lies inside the arc and each right sibling outside it, and ``rule`` says
+    what those regions become.
     """
+    inside, outside = rule
     ptrs = [base_root]
     for b in bits:
         ptrs.append(_child(ptrs[-1], b))
-    if site_node is not None:
-        node = site_node
-    elif mode == "trim":
-        node = ptrs[-1] if close_full else _EMPTY_LEAF
-    else:
-        node = _FULL_LEAF if close_full else ptrs[-1]
+    node = deepest
     for k in range(len(bits) - 1, -1, -1):
         if bits[k]:
-            sibling = _child(ptrs[k], 0) if mode == "trim" else _FULL_LEAF
-            node = _join(sibling, node)
+            node = _join(inside or _child(ptrs[k], 0), node)
         else:
-            sibling = _EMPTY_LEAF if mode == "trim" else _child(ptrs[k], 1)
-            node = _join(node, sibling)
+            node = _join(node, outside or _child(ptrs[k], 1))
     return BoundarySet(node)
 
 
@@ -163,10 +159,10 @@ def _carve_plan(target, tol, matrix, local_hi, max_resolution):
     return x_star, tol_local
 
 
-def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH):
+def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH):
     """Refine a dyadic cut t until the derived set's capacity hits ``target +- tol``.
 
-    ``mode`` is ``trim`` (base intersected with the arc [0, t]) or ``union``
+    ``rule`` is ``_TRIM`` (base intersected with the arc [0, t]) or ``_UNION``
     (base joined with it); a plain prescribed-capacity set is a trim of the
     full boundary.  Monotone continuity of the cut-to-capacity map guarantees
     convergence; each bit refines the bracket via one composition of the
@@ -180,9 +176,10 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
     tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion
     gains accuracy geometrically per carve level.
     """
-    base_set = base if base is not None else BoundarySet.full()
-    memo = _memo(base_set, False)  # every node on the cut path, leaves too
-    base_root = base_set._root
+    inside, outside = rule
+    # every node on the cut path, and both leaves, which the base may lack
+    memo = {**_memo(base, False), _FULL_LEAF: 0.5, _EMPTY_LEAF: 0.0}
+    base_root = base._root
     ptr = base_root
 
     # root capacity as a fractional-linear function of the capacity v of the
@@ -195,10 +192,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
         return (ma * v + mb) / (mc * v + md)
 
     for _ in range(_ITERATION_BUDGET):
-        if mode == "trim":
-            v_lo, v_hi = 0.0, memo[ptr]
-        else:
-            v_lo, v_hi = memo[ptr], 0.5
+        v_lo, v_hi = memo[outside or ptr], memo[inside or ptr]
         f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
 
         near_lo = abs(f_lo - target) <= inner_tol
@@ -207,7 +201,8 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
             pick_hi = near_hi and (
                 not near_lo or abs(f_hi - target) < abs(f_lo - target)
             )
-            return _closure_set(bits, pick_hi, base_root, mode)
+            deepest = (inside if pick_hi else outside) or ptr
+            return _closure_set(bits, deepest, base_root, rule)
         if v_lo == v_hi:
             # the cut crossed into a region where the value is constant, and
             # the plateau value itself is out of tolerance
@@ -231,7 +226,7 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
 
         # inside a uniform region every 0-bit composes v -> v / (1 + v); jump
         # the whole run of them at once
-        if ptr is (_FULL_LEAF if mode == "trim" else _EMPTY_LEAF):
+        if (inside or ptr) is _FULL_LEAF and (outside or ptr) is _EMPTY_LEAF:
             denom = ma - mc * target
             if denom > 0.0:
                 x_star = (md * target - mb) / denom
@@ -255,21 +250,18 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
         left = _child(ptr, 0)
         right = _child(ptr, 1)
         # capacity contributed below the cut vertex when t sits at its midpoint
-        if mode == "trim":
-            s = memo[left]
-        else:
-            s = 0.5 + memo[right]
+        s = memo[inside or left] + memo[outside or right]
         f_mid = evaluate(s / (1.0 + s))
 
         if f_mid == target:
             bits.append(1)
-            return _closure_set(bits, False, base_root, mode)
+            return _closure_set(bits, outside or right, base_root, rule)
         if f_mid <= target:
             bit = 1
-            a = memo[left] if mode == "trim" else 0.5
+            a = memo[inside or left]
         else:
             bit = 0
-            a = 0.0 if mode == "trim" else memo[right]
+            a = memo[outside or right]
         bits.append(bit)
         ptr = _child(ptr, bit)
         # compose with the sibling merge v -> (v + a) / (v + 1 + a)
@@ -278,8 +270,9 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
         norm = max(ma, mb, mc, md)
         ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
     else:
-        local_hi = memo[ptr] if mode == "trim" else 0.5
-        plan = _carve_plan(target, tol, (ma, mb, mc, md), local_hi, max_resolution)
+        plan = _carve_plan(
+            target, tol, (ma, mb, mc, md), memo[inside or ptr], max_resolution
+        )
 
     if plan is None or carve_depth <= 0:
         raise ToleranceError(
@@ -289,14 +282,22 @@ def _solve_cut(target, tol, mode, base, max_resolution, carve_depth=_CARVE_DEPTH
         )
     x_star, tol_local = plan
     site = _solve_cut(
-        x_star, tol_local, "trim", None, max_resolution, carve_depth - 1
+        x_star, tol_local, _TRIM, BoundarySet.full(), max_resolution, carve_depth - 1
     )
-    return _closure_set(bits, None, base_root, mode, site_node=site._root)
+    return _closure_set(bits, site._root, base_root, rule)
 
 
 # ---------------------------------------------------------------------------
 # public constructors
 # ---------------------------------------------------------------------------
+
+
+def _check_target(target: float, tol: float) -> None:
+    """The domain checks both public constructors make before searching."""
+    if not 0.0 <= target <= 0.5:
+        raise ValueError(f"target capacity must lie in [0, 1/2], got {target}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
 
 
 def set_of_capacity(
@@ -313,12 +314,9 @@ def set_of_capacity(
     only harmonically fine) are retried with a root split: one child takes an
     exact shallow piece and the other reruns the search at a shifted target.
     """
-    if not 0.0 <= target <= 0.5:
-        raise ValueError(f"target capacity must lie in [0, 1/2], got {target}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_target(target, tol)
     try:
-        result = _solve_cut(target, tol, "trim", None, max_resolution)
+        result = _solve_cut(target, tol, _TRIM, BoundarySet.full(), max_resolution)
     except ToleranceError as exc:
         result = _split_fallback(target, tol, max_resolution, exc)
     final = capacity(result)
@@ -362,7 +360,7 @@ def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
         if not 1e-6 < rest < 0.5 - 1e-9:
             continue
         try:
-            right = _solve_cut(rest, tol_sub, "trim", None, max_resolution)
+            right = _solve_cut(rest, tol_sub, _TRIM, BoundarySet.full(), max_resolution)
         except ToleranceError:
             continue
         return BoundarySet(_join(piece._root, right._root))
@@ -383,17 +381,19 @@ def calibrated_set(
     Trims when the base is too heavy, unions a prefix arc in when too light;
     either way the cut-to-capacity map is continuous and monotone, so the same
     bracket bisection applies.
+
+    Unlike ``set_of_capacity`` there is no root-split fallback, so targets just
+    above a plateau value of the cut family can stall: calibrating the empty
+    set to 0.2 + 0.4e-6 at tolerance 3e-7 raises ``CalibrationError``, while
+    ``set_of_capacity`` returns a set of resolution 986 (ROADMAP item 5).
     """
-    if not 0.0 <= target <= 0.5:
-        raise ValueError(f"target capacity must lie in [0, 1/2], got {target}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_target(target, tol)
     c0 = capacity(base)
     if abs(c0 - target) <= tol:
         return base
-    mode = "trim" if c0 > target else "union"
+    rule = _TRIM if c0 > target else _UNION
     try:
-        result = _solve_cut(target, tol, mode, base, BISECTION_MAX_RESOLUTION)
+        result = _solve_cut(target, tol, rule, base, BISECTION_MAX_RESOLUTION)
     except ToleranceError as exc:
         raise CalibrationError(
             f"cannot calibrate set of capacity {c0} to {target}: {exc}"

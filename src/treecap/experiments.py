@@ -339,15 +339,13 @@ def run_lowerbound(
     cal_tol = 0.3 * tol
     sets = []
     attempts = 0
-    retries = 0
     while len(sets) < samples:
         base = random_boundary_set(seed * 1_000_003 + attempts, max_depth=8)
         attempts += 1
         try:
             sets.append(calibrated_set(base, target, cal_tol))
         except CalibrationError:
-            retries += 1
-            if retries > 100 * samples:
+            if attempts - len(sets) > 100 * samples:
                 raise
 
     rows = []
@@ -467,6 +465,8 @@ def run_conjecture(
     """
     t0 = time.perf_counter()
     check_n_max(n_max)
+    if not deltas:
+        raise ValueError("need at least one delta")
     grid = grid or SolverGrid()
     rows = []
     agree = True

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from treecap import builder
 from treecap import (
     BoundarySet,
+    CalibrationError,
     VertexId,
     ToleranceError,
     TreecapError,
@@ -266,6 +267,33 @@ class TestCalibratedSet:
         down = calibrated_set(heavy, 0.3, 1e-7)
         assert abs(capacity(up) - 0.3) <= 1e-7
         assert abs(capacity(down) - 0.3) <= 1e-7
+        assert light.is_subset_of(up)
+        assert down.is_subset_of(heavy)
+
+    def test_union_of_empty_is_trim_of_full(self):
+        # [0, t] joined to the empty set is [0, t] cut from the full boundary,
+        # and the two rules walk the same bracket to the same cut
+        rng = random.Random(15)
+        for _ in range(60):
+            target = rng.uniform(0.001, 0.499)
+            try:
+                calibrated = calibrated_set(BoundarySet.empty(), target, 1e-9)
+            except CalibrationError:
+                continue  # set_of_capacity alone has the root-split fallback
+            assert calibrated == set_of_capacity(target, 1e-9)
+
+    def test_trim_shrinks_and_union_grows(self):
+        for seed in range(24):
+            base = random_boundary_set(seed, max_depth=8)
+            for eps in (0.1, 0.3, 0.45):
+                try:
+                    result = calibrated_set(base, eps, 1e-7)
+                except CalibrationError:
+                    continue
+                if capacity(base) > eps:
+                    assert result.is_subset_of(base), (seed, eps)
+                else:
+                    assert base.is_subset_of(result), (seed, eps)
 
     def test_noop_within_tolerance(self):
         base = cantor_set(1)  # capacity 2/5
@@ -345,6 +373,11 @@ class TestPinnedOutput:
             (2, 0.2, (93, 18, "0.2000000198590254", "29a3666cfc66c6354050e2867dbe1b72fc7dbff3")),
             (6, 0.2, (11025, 5, "0.20000002000001701", "5c362f4c4f15380cd06f97f34f4336ca3da2abff")),
             (7, 0.3, (36026, 4, "0.3000000308509335", "a7f5c7ad0af241765fcc31f7736bfd23affe0352")),
+            # unions: a shallow one, one that carves at 12,016 bits and plants
+            # a 1,881-bit trimmed site, and one crossing a 36k-level Empty run
+            (4, 0.2, (41, 11, "0.20000002058052463", "3b00326e7f488e768003d1fb637e5b5e46bde85b")),
+            (6, 0.45, (13897, 5, "0.45000004500081453", "ff9599dfc247220d95665447a0bdbad26acf43c7")),
+            (9, 0.3, (36026, 4, "0.3000000308509335", "4e0135b72a263598684d1f08bb4d9f31b7ef6069")),
         ],
     )
     def test_calibrated_set(self, seed, eps, pin):
@@ -364,7 +397,7 @@ class TestSearchExits:
         monkeypatch.setattr(builder, "_ITERATION_BUDGET", 5)
         target, tol = 0.3842495632985409, 1e-10
         result = builder._solve_cut(
-            target, tol, "trim", None, builder.BISECTION_MAX_RESOLUTION
+            target, tol, builder._TRIM, BoundarySet.full(), builder.BISECTION_MAX_RESOLUTION
         )
         assert abs(capacity(result) - target) <= tol
 
@@ -372,7 +405,8 @@ class TestSearchExits:
         monkeypatch.setattr(builder, "_ITERATION_BUDGET", 3)
         with pytest.raises(ToleranceError, match="cut search stalled") as info:
             builder._solve_cut(
-                1 / 3 + 1e-9, 1e-10, "trim", None, builder.BISECTION_MAX_RESOLUTION
+                1 / 3 + 1e-9, 1e-10, builder._TRIM, BoundarySet.full(),
+                builder.BISECTION_MAX_RESOLUTION,
             )
         assert info.value.bracket is None
 

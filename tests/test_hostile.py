@@ -138,3 +138,9 @@ class TestPrefixSpecs:
 def test_negative_n_max(argv, capsys):
     line = refused([*argv, "--n-max", "-1"], capsys)
     assert line == "error: need n_max >= 0, got -1"
+
+
+def test_empty_delta_list(capsys):
+    # a conjecture chart without rows would pass its verdict vacuously
+    line = refused(["experiment", "conjecture", "--delta", ","], capsys)
+    assert line == "error: need at least one delta"

@@ -4,6 +4,9 @@ The other modules reach nodes through `tree._join`, `tree._child` and
 `tree._fold` and compare them with the two leaf singletons, so a new node
 kind changes one module.  This parses each of them and fails on any read of a
 node field or any mention of the node class.
+
+The cut search likewise keeps the choice between a trim and a union in its two
+rule constants, so no mode string may come back into `builder.py`.
 """
 
 import ast
@@ -29,3 +32,13 @@ def test_module_does_not_read_nodes(module):
         elif isinstance(node, ast.alias) and "_Node" in (node.name, node.asname):
             found.append(f"line {node.lineno}: imports _Node")
     assert not found, f"{module} reads trie nodes: {found}"
+
+
+def test_builder_has_no_mode_strings():
+    tree = ast.parse((SRC / "builder.py").read_text(), filename="builder.py")
+    found = [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("trim", "union")
+    ]
+    assert not found, f"builder.py branches on a mode string: {found}"
