@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .capacity import capacity, _memo
+from .capacity import capacity, _float_merge
 from .errors import CalibrationError, ToleranceError, TreecapError
-from .tree import BoundarySet, prefix_set, _EMPTY_LEAF, _FULL_LEAF, _child, _join
+from .tree import BoundarySet, prefix_set, _EMPTY_LEAF, _FULL_LEAF, _fold, _join
 
 BISECTION_MAX_RESOLUTION = 200_000
 
@@ -102,29 +102,16 @@ def plateau_bound(eps: float) -> float:
 # bisection on dyadic cut points
 # ---------------------------------------------------------------------------
 
-# A cut of the base at t is described by what the regions inside and outside
-# the arc [0, t] become: a leaf, or None where the base's own subtree stays.
-_TRIM = (None, _EMPTY_LEAF)  # base intersected with [0, t]
-_UNION = (_FULL_LEAF, None)  # base joined with [0, t]
-
-
-def _closure_set(bits: list[int], deepest, base_root, rule) -> BoundarySet:
-    """Materialize the cut set by surgery along the path, sharing base subtrees.
+def _closure_set(bits: list[int], deepest) -> BoundarySet:
+    """Materialize the cut set along the path to the cut vertex.
 
     ``deepest`` is planted at the cut vertex; each left sibling of the path
-    lies inside the arc and each right sibling outside it, and ``rule`` says
-    what those regions become.
+    lies inside the arc [0, t] and is Full, each right sibling outside it and
+    is Empty.
     """
-    inside, outside = rule
-    ptrs = [base_root]
-    for b in bits:
-        ptrs.append(_child(ptrs[-1], b))
     node = deepest
-    for k in range(len(bits) - 1, -1, -1):
-        if bits[k]:
-            node = _join(inside or _child(ptrs[k], 0), node)
-        else:
-            node = _join(node, outside or _child(ptrs[k], 1))
+    for bit in reversed(bits):
+        node = _join(_FULL_LEAF, node) if bit else _join(node, _EMPTY_LEAF)
     return BoundarySet(node)
 
 
@@ -159,15 +146,14 @@ def _carve_plan(target, tol, matrix, local_hi, max_resolution):
     return x_star, tol_local
 
 
-def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH):
-    """Refine a dyadic cut t until the derived set's capacity hits ``target +- tol``.
+def _solve_cut(target, tol, max_resolution, carve_depth=_CARVE_DEPTH):
+    """Refine a dyadic cut t until the capacity of [0, t] hits ``target +- tol``.
 
-    ``rule`` is ``_TRIM`` (base intersected with the arc [0, t]) or ``_UNION``
-    (base joined with it); a plain prescribed-capacity set is a trim of the
-    full boundary.  Monotone continuity of the cut-to-capacity map guarantees
-    convergence; each bit refines the bracket via one composition of the
-    fractional-linear bracket map, and runs of 0-bits through uniform regions
-    are composed in closed form.
+    The candidate sets are the closed preimages of circle arcs [0, t], cut
+    from the full boundary.  Monotone continuity of the cut-to-capacity map
+    guarantees convergence; each bit refines the bracket via one composition
+    of the fractional-linear bracket map, and runs of 0-bits are composed in
+    closed form.
 
     Around some targets the bracket gap decays only harmonically.  Once the
     cut is deep (or the iteration budget runs out) the bracket map
@@ -176,14 +162,10 @@ def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH
     tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion
     gains accuracy geometrically per carve level.
     """
-    inside, outside = rule
-    # every node on the cut path, and both leaves, which the base may lack
-    memo = {**_memo(base, False), _FULL_LEAF: 0.5, _EMPTY_LEAF: 0.0}
-    base_root = base._root
-    ptr = base_root
-
     # root capacity as a fractional-linear function of the capacity v of the
-    # undecided part below the cut vertex: v -> (A v + B) / (C v + D)
+    # undecided part below the cut vertex: v -> (A v + B) / (C v + D); that
+    # part is Empty (v = 0) at the bracket's low end and Full (v = 1/2) at
+    # its high end
     ma, mb, mc, md = 1.0, 0.0, 0.0, 1.0
     bits: list[int] = []
     inner_tol = tol * 0.9
@@ -192,8 +174,7 @@ def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH
         return (ma * v + mb) / (mc * v + md)
 
     for _ in range(_ITERATION_BUDGET):
-        v_lo, v_hi = memo[outside or ptr], memo[inside or ptr]
-        f_lo, f_hi = evaluate(v_lo), evaluate(v_hi)
+        f_lo, f_hi = evaluate(0.0), evaluate(0.5)
 
         near_lo = abs(f_lo - target) <= inner_tol
         near_hi = abs(f_hi - target) <= inner_tol
@@ -201,18 +182,9 @@ def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH
             pick_hi = near_hi and (
                 not near_lo or abs(f_hi - target) < abs(f_lo - target)
             )
-            deepest = (inside if pick_hi else outside) or ptr
-            return _closure_set(bits, deepest, base_root, rule)
-        if v_lo == v_hi:
-            # the cut crossed into a region where the value is constant, and
-            # the plateau value itself is out of tolerance
-            raise ToleranceError(
-                f"cut value plateaus at {f_lo}, tolerance {tol} unreachable; "
-                f"bracket is [{f_lo}, {f_hi}]",
-                bracket=(f_lo, f_hi),
-            )
+            return _closure_set(bits, _FULL_LEAF if pick_hi else _EMPTY_LEAF)
         if len(bits) >= _CARVE_BITS:
-            plan = _carve_plan(target, tol, (ma, mb, mc, md), v_hi, max_resolution)
+            plan = _carve_plan(target, tol, (ma, mb, mc, md), 0.5, max_resolution)
             if plan is not None:
                 # deep cut with accumulated sensitivity: rebuilding the
                 # subtree below the cut at relaxed tolerance beats refining
@@ -224,55 +196,45 @@ def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH
                 bracket=(f_lo, f_hi),
             )
 
-        # inside a uniform region every 0-bit composes v -> v / (1 + v); jump
-        # the whole run of them at once
-        if (inside or ptr) is _FULL_LEAF and (outside or ptr) is _EMPTY_LEAF:
-            denom = ma - mc * target
-            if denom > 0.0:
-                x_star = (md * target - mb) / denom
-                if 0.0 < x_star < 0.25:
-                    # the run ends once the midpoint value 1/(m+3) drops to
-                    # x_star; stop three short so the generic step, which is
-                    # robust to float slop, finishes the run.  Jumps are also
-                    # chunked so the carve check at the loop head gets a look
-                    # between them.
-                    zeros = min(
-                        int(1.0 / x_star) - 3,
-                        max_resolution - len(bits),
-                        _CARVE_BITS,
-                    )
-                    if zeros > 0:
-                        bits.extend([0] * zeros)
-                        ma, mc = ma + mb * zeros, mc + md * zeros
-                        norm = max(ma, mb, mc, md)
-                        ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
+        # every 0-bit composes v -> v / (1 + v); jump the whole run of them
+        # at once
+        denom = ma - mc * target
+        if denom > 0.0:
+            x_star = (md * target - mb) / denom
+            if 0.0 < x_star < 0.25:
+                # the run ends once the midpoint value 1/(m+3) drops to
+                # x_star; stop three short so the generic step, which is
+                # robust to float slop, finishes the run.  Jumps are also
+                # chunked so the carve check at the loop head gets a look
+                # between them.
+                zeros = min(
+                    int(1.0 / x_star) - 3,
+                    max_resolution - len(bits),
+                    _CARVE_BITS,
+                )
+                if zeros > 0:
+                    bits.extend([0] * zeros)
+                    ma, mc = ma + mb * zeros, mc + md * zeros
+                    norm = max(ma, mb, mc, md)
+                    ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
 
-        left = _child(ptr, 0)
-        right = _child(ptr, 1)
-        # capacity contributed below the cut vertex when t sits at its midpoint
-        s = memo[inside or left] + memo[outside or right]
-        f_mid = evaluate(s / (1.0 + s))
+        # with t at the cut vertex's midpoint its left child is Full and its
+        # right child Empty: s = 1/2, worth 1/3 below the cut vertex
+        f_mid = evaluate(1.0 / 3.0)
 
         if f_mid == target:
             bits.append(1)
-            return _closure_set(bits, outside or right, base_root, rule)
-        if f_mid <= target:
-            bit = 1
-            a = memo[inside or left]
-        else:
-            bit = 0
-            a = memo[outside or right]
+            return _closure_set(bits, _EMPTY_LEAF)
+        bit = 1 if f_mid <= target else 0
+        a = 0.5 if bit else 0.0  # the sibling left behind: Full or Empty
         bits.append(bit)
-        ptr = _child(ptr, bit)
         # compose with the sibling merge v -> (v + a) / (v + 1 + a)
         ma, mb = ma + mb, ma * a + mb * (1.0 + a)
         mc, md = mc + md, mc * a + md * (1.0 + a)
         norm = max(ma, mb, mc, md)
         ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
     else:
-        plan = _carve_plan(
-            target, tol, (ma, mb, mc, md), memo[inside or ptr], max_resolution
-        )
+        plan = _carve_plan(target, tol, (ma, mb, mc, md), 0.5, max_resolution)
 
     if plan is None or carve_depth <= 0:
         raise ToleranceError(
@@ -281,10 +243,8 @@ def _solve_cut(target, tol, rule, base, max_resolution, carve_depth=_CARVE_DEPTH
             bracket=None,
         )
     x_star, tol_local = plan
-    site = _solve_cut(
-        x_star, tol_local, _TRIM, BoundarySet.full(), max_resolution, carve_depth - 1
-    )
-    return _closure_set(bits, site._root, base_root, rule)
+    site = _solve_cut(x_star, tol_local, max_resolution, carve_depth - 1)
+    return _closure_set(bits, site._root)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +275,7 @@ def set_of_capacity(
     exact shallow piece and the other reruns the search at a shifted target.
     """
     _check_target(target, tol)
-    try:
-        result = _solve_cut(target, tol, _TRIM, BoundarySet.full(), max_resolution)
-    except ToleranceError as exc:
-        result = _split_fallback(target, tol, max_resolution, exc)
+    result = _search(target, tol, max_resolution)
     final = capacity(result)
     if abs(final - target) > tol:
         raise ToleranceError(
@@ -327,6 +284,14 @@ def set_of_capacity(
             bracket=(None, final),
         )
     return result
+
+
+def _search(target, tol, max_resolution) -> BoundarySet:
+    """``set_of_capacity``'s set, unchecked: the cut search or its root split."""
+    try:
+        return _solve_cut(target, tol, max_resolution)
+    except ToleranceError as exc:
+        return _split_fallback(target, tol, max_resolution, exc)
 
 
 def _fallback_pieces():
@@ -360,7 +325,7 @@ def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
         if not 1e-6 < rest < 0.5 - 1e-9:
             continue
         try:
-            right = _solve_cut(rest, tol_sub, _TRIM, BoundarySet.full(), max_resolution)
+            right = _solve_cut(rest, tol_sub, max_resolution)
         except ToleranceError:
             continue
         return BoundarySet(_join(piece._root, right._root))
@@ -371,33 +336,64 @@ def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
     ) from original
 
 
+def _slope_merge(left, right, _same):
+    # (capacity, derivative) pairs: the float merge and its chain rule
+    s = left[0] + right[0]
+    return s / (1.0 + s), (left[1] + right[1]) / (1.0 + s) ** 2
+
+
 def calibrated_set(
     base: BoundarySet,
     target: float,
     tol: float,
 ) -> BoundarySet:
-    """Adjust ``base`` to capacity ``target`` by trimming with or joining an arc preimage.
+    """Adjust ``base`` to capacity ``target`` by planting one piece at its leaves.
 
-    Trims when the base is too heavy, unions a prefix arc in when too light;
-    either way the cut-to-capacity map is continuous and monotone, so the same
-    bracket bisection applies.
+    A base that is too heavy gets one shared piece P in place of every Full
+    leaf, so the result lies inside it; one that is too light gets P in place
+    of every Empty leaf, so the result contains it (series-parallel
+    substitution).  The result's capacity is the base's merge recursion with
+    P's capacity x at those leaves, increasing in x, so x is found by
+    bisection; P is built by ``set_of_capacity``'s search at the loosest
+    tolerance that keeps the result within ``tol``.  An empty or full base
+    calibrates to ``set_of_capacity(target, tol)`` itself.
 
-    Unlike ``set_of_capacity`` there is no root-split fallback, so targets just
-    above a plateau value of the cut family can stall: calibrating the empty
-    set to 0.2 + 0.4e-6 at tolerance 3e-7 raises ``CalibrationError``, while
-    ``set_of_capacity`` returns a set of resolution 986 (ROADMAP item 5).
+    A base a few ``tol`` below the target can still raise ``CalibrationError``:
+    its piece would need more than ``BISECTION_MAX_RESOLUTION`` levels.
     """
     _check_target(target, tol)
     c0 = capacity(base)
     if abs(c0 - target) <= tol:
         return base
-    rule = _TRIM if c0 > target else _UNION
+    heavy = c0 > target
+    root = base._root
+
+    def plant(piece, merge, full=0.5, empty=0.0):
+        # the base's fold with ``piece`` at every leaf of the kind it replaces
+        leaves = (piece, empty) if heavy else (full, piece)
+        return _fold(root, *leaves, merge)[root]
+
+    if base.is_empty() or base.is_full():
+        x, piece_tol = target, tol
+    else:
+        lo, hi = 0.0, 0.5
+        while True:
+            x = 0.5 * (lo + hi)
+            miss = plant(x, _float_merge) - target
+            if abs(miss) <= 0.01 * tol or not lo < x < hi:
+                break
+            lo, hi = (x, hi) if miss < 0.0 else (lo, x)
+        slope = plant((x, 1.0), _slope_merge, (0.5, 0.0), (0.0, 0.0))[1]
+        piece_tol = 0.9 * (tol - abs(miss)) / slope
     try:
-        result = _solve_cut(target, tol, rule, base, BISECTION_MAX_RESOLUTION)
+        piece = _search(x, piece_tol, BISECTION_MAX_RESOLUTION)
     except ToleranceError as exc:
         raise CalibrationError(
             f"cannot calibrate set of capacity {c0} to {target}: {exc}"
         ) from exc
+    result = BoundarySet(
+        plant(piece._root, lambda l, r, _: _join(l, r), _FULL_LEAF, _EMPTY_LEAF)
+    )
     final = capacity(result)
     if abs(final - target) > tol:
         raise CalibrationError(

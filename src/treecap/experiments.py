@@ -342,6 +342,8 @@ def run_lowerbound(
     while len(sets) < samples:
         base = random_boundary_set(seed * 1_000_003 + attempts, max_depth=8)
         attempts += 1
+        if base.is_empty() or base.is_full():
+            continue  # every leaf base calibrates to set_of_capacity's one set
         try:
             sets.append(calibrated_set(base, target, cal_tol))
         except CalibrationError:

@@ -271,16 +271,25 @@ class TestCalibratedSet:
         assert down.is_subset_of(heavy)
 
     def test_union_of_empty_is_trim_of_full(self):
-        # [0, t] joined to the empty set is [0, t] cut from the full boundary,
-        # and the two rules walk the same bracket to the same cut
+        # a leaf base is all piece, and the piece is set_of_capacity's set
         rng = random.Random(15)
         for _ in range(60):
             target = rng.uniform(0.001, 0.499)
-            try:
-                calibrated = calibrated_set(BoundarySet.empty(), target, 1e-9)
-            except CalibrationError:
-                continue  # set_of_capacity alone has the root-split fallback
-            assert calibrated == set_of_capacity(target, 1e-9)
+            expected = set_of_capacity(target, 1e-9)
+            for base in (BoundarySet.empty(), BoundarySet.full()):
+                assert calibrated_set(base, target, 1e-9) == expected
+
+    @pytest.mark.parametrize("eps, seed", [(0.1, 7), (0.2, 11), (0.3, 13)])
+    def test_lowerbound_bases_calibrate_to_distinct_sets(self, eps, seed):
+        # the first 100 non-leaf bases the lower-bound experiment draws, at
+        # its calibration target and tolerance for tol 1e-6
+        sets, k = [], 0
+        while len(sets) < 100:
+            base = random_boundary_set(seed * 1_000_003 + k, max_depth=8)
+            k += 1
+            if not (base.is_empty() or base.is_full()):
+                sets.append(calibrated_set(base, eps + 0.4e-6, 0.3e-6))
+        assert len(set(sets)) >= 80
 
     def test_trim_shrinks_and_union_grows(self):
         for seed in range(24):
@@ -370,14 +379,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "seed, eps, pin",
         [
-            (2, 0.2, (93, 18, "0.2000000198590254", "29a3666cfc66c6354050e2867dbe1b72fc7dbff3")),
-            (6, 0.2, (11025, 5, "0.20000002000001701", "5c362f4c4f15380cd06f97f34f4336ca3da2abff")),
-            (7, 0.3, (36026, 4, "0.3000000308509335", "a7f5c7ad0af241765fcc31f7736bfd23affe0352")),
-            # unions: a shallow one, one that carves at 12,016 bits and plants
-            # a 1,881-bit trimmed site, and one crossing a 36k-level Empty run
-            (4, 0.2, (41, 11, "0.20000002058052463", "3b00326e7f488e768003d1fb637e5b5e46bde85b")),
-            (6, 0.45, (13897, 5, "0.45000004500081453", "ff9599dfc247220d95665447a0bdbad26acf43c7")),
-            (9, 0.3, (36026, 4, "0.3000000308509335", "4e0135b72a263598684d1f08bb4d9f31b7ef6069")),
+            # heavy bases: the piece replaces every Full leaf
+            (2, 0.2, (98, 196, "0.20000002006477627", "aed035485a50da43880c16d2a2d4134161be650f")),
+            (6, 0.2, (63, 70, "0.20000002005014686", "8aaca5f26cc9bd168799e0e47ab06f5937c539f1")),
+            (7, 0.3, (54, 54, "0.30000002989045493", "037f46d00381b08df4b4d76bc4e654188dfb629b")),
+            # light bases: the piece replaces every Empty leaf
+            (4, 0.2, (58, 77, "0.20000002042242238", "b9e044fed9aab6cf54319a46903011eec1f6bf4c")),
+            (6, 0.45, (44, 106, "0.45000004503793806", "216c94a98028e1dbd3d6b87847646a192c7425d8")),
+            (9, 0.3, (149, 9, "0.3000000303184029", "5a06ff299600cac4c18be042c8d0a618fc5eedb1")),
         ],
     )
     def test_calibrated_set(self, seed, eps, pin):
@@ -396,18 +405,13 @@ class TestSearchExits:
     def test_budget_exit_carves(self, monkeypatch):
         monkeypatch.setattr(builder, "_ITERATION_BUDGET", 5)
         target, tol = 0.3842495632985409, 1e-10
-        result = builder._solve_cut(
-            target, tol, builder._TRIM, BoundarySet.full(), builder.BISECTION_MAX_RESOLUTION
-        )
+        result = builder._solve_cut(target, tol, builder.BISECTION_MAX_RESOLUTION)
         assert abs(capacity(result) - target) <= tol
 
     def test_stalled_search_raises(self, monkeypatch):
         monkeypatch.setattr(builder, "_ITERATION_BUDGET", 3)
         with pytest.raises(ToleranceError, match="cut search stalled") as info:
-            builder._solve_cut(
-                1 / 3 + 1e-9, 1e-10, builder._TRIM, BoundarySet.full(),
-                builder.BISECTION_MAX_RESOLUTION,
-            )
+            builder._solve_cut(1 / 3 + 1e-9, 1e-10, builder.BISECTION_MAX_RESOLUTION)
         assert info.value.bracket is None
 
     def test_one_plan_per_carve(self, monkeypatch):
@@ -426,7 +430,7 @@ class TestSearchExits:
         monkeypatch.setattr(builder, "_solve_cut", spy_solve)
         set_of_capacity(1 / 5 + 1e-7, 1e-10)
         # root-split retries search anew; a carve passes its remaining depth
-        depths = [args[5] for args in carves if len(args) == 6]
+        depths = [args[3] for args in carves if len(args) == 4]
         assert depths == [builder._CARVE_DEPTH - 1]
         assert sum(p is not None for p in plans) == len(depths)
 

@@ -6,7 +6,14 @@ import math
 
 import pytest
 
-from treecap import BoundarySet, SetSpecError, VertexId, capacity, prefix_set
+from treecap import (
+    BoundarySet,
+    SetSpecError,
+    VertexId,
+    capacity,
+    prefix_set,
+    random_boundary_set,
+)
 from treecap import cli
 from treecap.capacity import extremal
 from treecap.cli import main
@@ -101,6 +108,16 @@ class TestReports:
         assert report.verdict
         assert all(row["violations"] == 0 for row in report.rows)
         assert all(row["min_margin"] >= -1e-6 for row in report.rows)
+
+    def test_lowerbound_draws_past_leaf_bases_only(self):
+        # every non-leaf base calibrates, so the only extra draws are the
+        # empty and full bases it skips
+        report = run_lowerbound(0.2, 5, samples=10, seed=7)
+        attempts = report.params["calibration_attempts"]
+        bases = [random_boundary_set(7 * 1_000_003 + k, max_depth=8) for k in range(attempts)]
+        leaves = sum(b.is_empty() or b.is_full() for b in bases)
+        assert attempts == 10 + leaves
+        assert not (bases[-1].is_empty() or bases[-1].is_full())
 
     def test_compare_small(self):
         report = run_compare(prefix_set(0.5), n_max=2, grid=FAST)
