@@ -17,12 +17,10 @@ from .tree import (
     rho,
 )
 from .capacity import (
-    CapacityTable,
     EquilibriumMeasure,
     FluxTable,
     brute_force_capacity,
     capacity,
-    capacity_table,
     condenser_capacity,
     energy,
     equilibrium_measure,
@@ -62,12 +60,10 @@ __all__ = [
     "confluent",
     "prefix_set",
     "rho",
-    "CapacityTable",
     "EquilibriumMeasure",
     "FluxTable",
     "brute_force_capacity",
     "capacity",
-    "capacity_table",
     "condenser_capacity",
     "energy",
     "equilibrium_measure",

@@ -1,12 +1,12 @@
 """Constructive procedures: sets of prescribed capacity, the equal-split
 family whose condenser capacity plateaus, and the sharp lower-bound formulas.
 
-The workhorse is a bisection over dyadic cut points of the circle.  Instead of
-re-evaluating a whole trie at every step, the bracket is carried as a
-fractional-linear map (a nonnegative 2x2 matrix) sending the capacity of the
-still-undecided subtree to the capacity at the root; refining by one bit is a
-single matrix composition, so targets needing tens of thousands of levels stay
-cheap.
+The workhorse is a search over dyadic cut points of the circle.  It walks down
+the path to the cut vertex carrying only the window of subtree capacities at
+that vertex which put the root within tolerance; each bit maps the window by
+the inverse of one merge, exactly and in the vertex's own coordinates, and a
+run of 0-bits is one subtraction from its reciprocals, so targets needing
+tens of thousands of levels stay cheap.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def plateau_bound(eps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bisection on dyadic cut points
+# the cut search on dyadic cut points
 # ---------------------------------------------------------------------------
 
 def _closure_set(bits: list[int], deepest) -> BoundarySet:
@@ -115,136 +115,46 @@ def _closure_set(bits: list[int], deepest) -> BoundarySet:
     return BoundarySet(node)
 
 
-_ITERATION_BUDGET = 4000
-_CARVE_DEPTH = 8
-_CARVE_BITS = 3000
+def _solve_cut(target, tol, max_resolution):
+    """The coarsest prefix arc [0, t] whose capacity is ``target`` within ``0.9 tol``.
 
-
-def _carve_plan(target, tol, matrix, local_hi, max_resolution):
-    """Local target and relaxed tolerance for rebuilding the cut subtree.
-
-    Inverts the bracket map F(v) = (A v + B) / (C v + D) at the target; the
-    local tolerance is the global one divided by the sensitivity F'(x*).
-    Returns None when the map cannot be inverted, when the relaxation is too
-    small for the rebuild to make progress, or when the rebuilt subtree would
-    be inherently too deep (a set of capacity c needs resolution >= 1/c - 2,
-    so tiny local targets must wait for more sensitivity decay, which grows
-    x* toward affordable values).
+    The search walks down the path to the cut vertex in that vertex's own
+    coordinates: ``x`` is the subtree capacity at the cut vertex that puts the
+    root at ``target``, and ``[lo, hi]`` holds those that put it within
+    ``0.9 tol``.  Stepping past a sibling of capacity ``a`` (the Full left
+    one, 1/2, on a 1-bit; the Empty right one, 0, on a 0-bit) maps each of
+    them by the inverse merge v -> v / (1 - v) - a.  The map is increasing,
+    so the window maps exactly, and it keeps its relative precision however
+    deep the cut goes.  The cut vertex becomes an Empty leaf once 0 lies in
+    the window, a Full one once 1/2 does.
     """
-    ma, mb, mc, md = matrix
-    det = ma * md - mb * mc
-    denom = ma - mc * target
-    if det <= 0.0 or denom <= 0.0:
-        return None
-    x_star = (md * target - mb) / denom
-    x_star = min(max(x_star, 0.0), min(local_hi, 0.5))
-    if x_star * max_resolution < 100.0:
-        return None
-    tol_local = 0.35 * tol * (mc * x_star + md) ** 2 / det
-    if tol_local <= 2.0 * tol:
-        return None
-    return x_star, tol_local
-
-
-def _solve_cut(target, tol, max_resolution, carve_depth=_CARVE_DEPTH):
-    """Refine a dyadic cut t until the capacity of [0, t] hits ``target +- tol``.
-
-    The candidate sets are the closed preimages of circle arcs [0, t], cut
-    from the full boundary.  Monotone continuity of the cut-to-capacity map
-    guarantees convergence; each bit refines the bracket via one composition
-    of the fractional-linear bracket map, and runs of 0-bits are composed in
-    closed form.
-
-    Around some targets the bracket gap decays only harmonically.  Once the
-    cut is deep (or the iteration budget runs out) the bracket map
-    F(v) = (A v + B) / (C v + D) is inverted at the target instead, and the
-    undecided subtree is rebuilt for the local value F^-1(target), whose
-    tolerance is relaxed by the inverse sensitivity 1/F'.  The recursion
-    gains accuracy geometrically per carve level.
-    """
-    # root capacity as a fractional-linear function of the capacity v of the
-    # undecided part below the cut vertex: v -> (A v + B) / (C v + D); that
-    # part is Empty (v = 0) at the bracket's low end and Full (v = 1/2) at
-    # its high end
-    ma, mb, mc, md = 1.0, 0.0, 0.0, 1.0
     bits: list[int] = []
-    inner_tol = tol * 0.9
-
-    def evaluate(v):
-        return (ma * v + mb) / (mc * v + md)
-
-    for _ in range(_ITERATION_BUDGET):
-        f_lo, f_hi = evaluate(0.0), evaluate(0.5)
-
-        near_lo = abs(f_lo - target) <= inner_tol
-        near_hi = abs(f_hi - target) <= inner_tol
-        if near_lo or near_hi:
-            pick_hi = near_hi and (
-                not near_lo or abs(f_hi - target) < abs(f_lo - target)
-            )
-            return _closure_set(bits, _FULL_LEAF if pick_hi else _EMPTY_LEAF)
-        if len(bits) >= _CARVE_BITS:
-            plan = _carve_plan(target, tol, (ma, mb, mc, md), 0.5, max_resolution)
-            if plan is not None:
-                # deep cut with accumulated sensitivity: rebuilding the
-                # subtree below the cut at relaxed tolerance beats refining
-                break
+    x, lo, hi = target, target - 0.9 * tol, target + 0.9 * tol
+    while True:
+        if lo <= 0.0 or hi >= 0.5:
+            # when both leaves fit, the one nearer to x
+            full = hi >= 0.5 and (lo > 0.0 or x > 0.25)
+            return _closure_set(bits, _FULL_LEAF if full else _EMPTY_LEAF)
         if len(bits) >= max_resolution:
             raise ToleranceError(
                 f"could not reach tolerance {tol} within resolution "
-                f"{max_resolution}; bracket is [{f_lo}, {f_hi}]",
-                bracket=(f_lo, f_hi),
+                f"{max_resolution}; the window at the cut vertex is [{lo}, {hi}]",
+                bracket=(lo, hi),
             )
 
-        # every 0-bit composes v -> v / (1 + v); jump the whole run of them
-        # at once
-        denom = ma - mc * target
-        if denom > 0.0:
-            x_star = (md * target - mb) / denom
-            if 0.0 < x_star < 0.25:
-                # the run ends once the midpoint value 1/(m+3) drops to
-                # x_star; stop three short so the generic step, which is
-                # robust to float slop, finishes the run.  Jumps are also
-                # chunked so the carve check at the loop head gets a look
-                # between them.
-                zeros = min(
-                    int(1.0 / x_star) - 3,
-                    max_resolution - len(bits),
-                    _CARVE_BITS,
-                )
-                if zeros > 0:
-                    bits.extend([0] * zeros)
-                    ma, mc = ma + mb * zeros, mc + md * zeros
-                    norm = max(ma, mb, mc, md)
-                    ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
+        # a run of m 0-bits maps 1/v to 1/v - m; it lasts until x reaches 1/3
+        # (the next bit is 1) or hi reaches 1/2 (the Full exit), so take it in
+        # one step and stop two bits short of both for the step below to end
+        run = int(min(1.0 / x - 5.0, 1.0 / hi - 4.0, max_resolution - len(bits) - 1))
+        if run > 0:
+            bits.extend([0] * run)
+            x, lo, hi = (1.0 / (1.0 / v - run) for v in (x, lo, hi))
 
-        # with t at the cut vertex's midpoint its left child is Full and its
-        # right child Empty: s = 1/2, worth 1/3 below the cut vertex
-        f_mid = evaluate(1.0 / 3.0)
-
-        if f_mid == target:
-            bits.append(1)
-            return _closure_set(bits, _EMPTY_LEAF)
-        bit = 1 if f_mid <= target else 0
-        a = 0.5 if bit else 0.0  # the sibling left behind: Full or Empty
+        # the cut vertex's midpoint (left child Full, right Empty) is worth 1/3
+        bit = 1 if x >= 1.0 / 3.0 else 0
+        a = 0.5 if bit else 0.0
         bits.append(bit)
-        # compose with the sibling merge v -> (v + a) / (v + 1 + a)
-        ma, mb = ma + mb, ma * a + mb * (1.0 + a)
-        mc, md = mc + md, mc * a + md * (1.0 + a)
-        norm = max(ma, mb, mc, md)
-        ma, mb, mc, md = ma / norm, mb / norm, mc / norm, md / norm
-    else:
-        plan = _carve_plan(target, tol, (ma, mb, mc, md), 0.5, max_resolution)
-
-    if plan is None or carve_depth <= 0:
-        raise ToleranceError(
-            f"cut search stalled and the cut subtree cannot be rebuilt at a "
-            f"useful tolerance; target {target}, tolerance {tol}",
-            bracket=None,
-        )
-    x_star, tol_local = plan
-    site = _solve_cut(x_star, tol_local, max_resolution, carve_depth - 1)
-    return _closure_set(bits, site._root)
+        x, lo, hi = (v / (1.0 - v) - a for v in (x, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +177,14 @@ def set_of_capacity(
 ) -> BoundarySet:
     """A closed boundary set whose capacity is ``target`` within ``tol``.
 
-    Bisection on arc preimages: the candidate sets are the closed preimages of
-    circle arcs [0, t] for dyadic t, whose capacity runs continuously and
-    monotonically from 0 to 1/2.  Exact dyadic hits return the coarsest such t.
+    A search over arc preimages: the candidate sets are the closed preimages
+    of circle arcs [0, t] for dyadic t, whose capacity runs continuously and
+    monotonically from 0 to 1/2, and the result is the coarsest cut along the
+    path to t whose capacity is within ``0.9 tol`` of the target.
     Targets hugging a plateau of the cut family from above (where its mesh is
-    only harmonically fine) are retried with a root split: one child takes an
-    exact shallow piece and the other reruns the search at a shifted target.
+    only harmonically fine, so the cut would pass ``max_resolution``) are
+    retried with a root split: one child takes an exact shallow piece and the
+    other reruns the search at a shifted target.
     """
     _check_target(target, tol)
     result = _search(target, tol, max_resolution)

@@ -174,23 +174,6 @@ def _positions(e: BoundarySet, exact: bool):
 
 
 @dataclass
-class CapacityTable:
-    """Per-vertex subtree capacities over the explicit trie positions of a set."""
-
-    boundary_set: BoundarySet
-    values: dict[VertexId, object] = field(repr=False)
-
-    @property
-    def root_value(self):
-        return self.values[ROOT]
-
-
-def capacity_table(e: BoundarySet, exact: bool = False) -> CapacityTable:
-    """Materialized capacity table; size is the number of trie positions."""
-    return CapacityTable(e, _positions(e, exact)[0])
-
-
-@dataclass
 class FluxTable:
     """Subtree capacities ``c``, extremal flux ``h`` and its path sums ``H``
     over explicit trie positions.

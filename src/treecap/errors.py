@@ -10,10 +10,13 @@ class ResolutionError(TreecapError):
 
 
 class ToleranceError(TreecapError):
-    """A bisection could not reach the requested tolerance.
+    """A construction could not reach the requested tolerance.
 
-    Carries the last bracketing interval so callers can report how close
-    the search got.
+    ``bracket`` says how close it got.  From the cut search it is the window
+    ``(lo, hi)`` of subtree capacities at the deepest cut vertex that would
+    have put the root within tolerance; the root-split fallback passes on the
+    plain search's window.  A final capacity check gives ``(None, capacity)``
+    and the equal-split assembly ``(capacity, target)``.
     """
 
     def __init__(self, message, bracket=None):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from treecap import (
     lower_bound,
     lower_bound_gap_form,
     plateau_bound,
+    prefix_set,
     psi,
     psi_iterate,
     random_boundary_set,
@@ -356,21 +358,21 @@ def _pin(bset):
 
 
 class TestPinnedOutput:
-    """Builder output pinned bit for bit, including deep carved cuts."""
+    """Builder output pinned bit for bit, including deep cuts and root splits."""
 
     @pytest.mark.parametrize(
         "target, tol, pin",
         [
             (0.1234, 1e-10, (27, 7, "0.12340000000000001", "14322f6a34080beff5e1eb1b1df109161544176b")),
             (0.2718281828, 1e-9, (39, 6, "0.27182818352059923", "ee8a072b95e3b1e945babfb55698718ab9da04d4")),
-            (0.4142135, 1e-10, (2421, 6, "0.4142135", "2b962a64beac665a76a1c5fa613e36e41aa97aed")),
+            (0.4142135, 1e-10, (1524, 6, "0.414213500089999", "8ac6446ba4a41be8e6d5c203d1aa01cc620900ef")),
             (0.05, 1e-9, (18, 1, "0.05000000000000004", "cd8f9b36bf4b0c219a06363e7173fb38572cba1c")),
-            (1 / 3 + 1e-9, 1e-10, (15346, 6, "0.3333333343460171", "faf5696ff3b0ee4ceb969e9de9e7175ec41b690e")),
-            (1 / 3 - 1e-9, 1e-10, (27, 15, "0.33333333233992263", "f9216df6941f5a2a269edaf377b2de27e6607124")),
-            (1 / 4 + 1e-9, 1e-10, (23129, 7, "0.25000000100001113", "046d3d5334a0fbb67b5591e5d2bd5a5ba30b2347")),
+            (1 / 3 + 1e-9, 1e-10, (14516, 6, "0.3333333344052969", "43a4dd1fde5bfe6a3ff0cea89d707c2b647de0b4")),
+            (1 / 3 - 1e-9, 1e-10, (24, 15, "0.33333333240201074", "06ff3c3ee416ecbd8f3891eb040967739fef721b")),
+            (1 / 4 + 1e-9, 1e-10, (21577, 7, "0.25000000107199155", "7862e16bead4aa18aee22c2b4bab758e2f2f0b40")),
             (1 / 5 - 1e-9, 1e-10, (20, 14, "0.19999999897820608", "1f4a713a54a004dd7ca1f724530f02d3316a7c9f")),
-            (1 / 12 + 1e-9, 1e-10, (9468, 4, "0.08333333433341418", "f6a1a82ec6c82b1412fe3307036728609f55ebf0")),
-            (0.3333334, 1e-9, (55113, 4, "0.33333340000072", "39a55bce5d807303dd5fbb5121d8846d3b030730")),
+            (1 / 12 + 1e-9, 1e-10, (8874, 4, "0.08333333440530677", "d7ef64497d97582c5d82d66e8101c9ac1e01e9b3")),
+            (0.3333334, 1e-9, (54525, 4, "0.3333334007198906", "d10ec205dc86566ff96f619249a4b375f5b489b1")),
         ],
     )
     def test_set_of_capacity(self, target, tol, pin):
@@ -381,11 +383,11 @@ class TestPinnedOutput:
         [
             # heavy bases: the piece replaces every Full leaf
             (2, 0.2, (98, 196, "0.20000002006477627", "aed035485a50da43880c16d2a2d4134161be650f")),
-            (6, 0.2, (63, 70, "0.20000002005014686", "8aaca5f26cc9bd168799e0e47ab06f5937c539f1")),
+            (6, 0.2, (59, 70, "0.200000020768905", "5ca83d2c0c0d3f4f12364afb3961bceefaedf8f0")),
             (7, 0.3, (54, 54, "0.30000002989045493", "037f46d00381b08df4b4d76bc4e654188dfb629b")),
             # light bases: the piece replaces every Empty leaf
             (4, 0.2, (58, 77, "0.20000002042242238", "b9e044fed9aab6cf54319a46903011eec1f6bf4c")),
-            (6, 0.45, (44, 106, "0.45000004503793806", "216c94a98028e1dbd3d6b87847646a192c7425d8")),
+            (6, 0.45, (42, 106, "0.45000004552223366", "87f9e87294321b8b6ae6e30d383abebef3cd9b97")),
             (9, 0.3, (149, 9, "0.3000000303184029", "5a06ff299600cac4c18be042c8d0a618fc5eedb1")),
         ],
     )
@@ -399,47 +401,50 @@ class TestPinnedOutput:
         assert _pin(carrier) == (36, 16, "0.25", "c95eef95d9acc4a98dba808962de260c1a1521c3")
 
 
-class TestSearchExits:
-    """Exits of the cut search that ordinary targets do not reach."""
+class TestCutSearch:
+    """The cut search at its edges: the coarsest cut, the resolution cap, float range."""
 
-    def test_budget_exit_carves(self, monkeypatch):
-        monkeypatch.setattr(builder, "_ITERATION_BUDGET", 5)
-        target, tol = 0.3842495632985409, 1e-10
+    @pytest.mark.parametrize(
+        "target, tol",
+        [(1 / 3 - 1e-9, 1e-10), (0.1234, 1e-10), (0.2718281828, 1e-9), (1 / 5 - 1e-9, 1e-10)]
+        + [(t, 1e-12) for t in (0.0672, 0.118, 0.2499999, 0.3114, 0.4222, 0.49)],
+    )
+    def test_coarsest_cut(self, target, tol):
         result = builder._solve_cut(target, tol, builder.BISECTION_MAX_RESOLUTION)
         assert abs(capacity(result) - target) <= tol
+        ((start, t),) = result.intervals()
+        assert start == 0
+        # every coarser cut along the path, with an Empty or a Full leaf at
+        # its cut vertex, misses the target by more than the search's window
+        for d in range(result.resolution):
+            low = Fraction(math.floor(t * 2**d), 2**d)
+            for cut in (low, low + Fraction(1, 2**d)):
+                piece = prefix_set(cut, max_resolution=None)
+                assert abs(capacity(piece) - target) > 0.9 * tol
 
-    def test_stalled_search_raises(self, monkeypatch):
-        monkeypatch.setattr(builder, "_ITERATION_BUDGET", 3)
-        with pytest.raises(ToleranceError, match="cut search stalled") as info:
-            builder._solve_cut(1 / 3 + 1e-9, 1e-10, builder.BISECTION_MAX_RESOLUTION)
-        assert info.value.bracket is None
+    def test_resolution_cap_reports_the_window(self):
+        target, tol = 0.2341, 1e-12
+        with pytest.raises(ToleranceError, match="within resolution 12") as err:
+            builder._solve_cut(target, tol, 12)
+        lo, hi = err.value.bracket
+        assert 0.0 < lo < hi < 0.5
+        # the cut path by bisection on prefix arcs: bit 1 while the arc
+        # through the midpoint of the cut vertex stays at or below the target
+        bits, t = [], Fraction(0)
+        for d in range(1, 13):
+            bit = int(capacity(prefix_set(t + Fraction(1, 2**d))) <= target)
+            bits.append(bit)
+            t += Fraction(bit, 2**d)
+        # lifted back to the root along that path, the window's ends are the
+        # capacities target -+ 0.9 tol
+        for v, root in ((lo, target - 0.9 * tol), (hi, target + 0.9 * tol)):
+            for bit in reversed(bits):
+                s = v + 0.5 * bit
+                v = s / (1.0 + s)
+            assert abs(v - root) <= 1e-3 * tol
 
-    def test_one_plan_per_carve(self, monkeypatch):
-        plans, carves = [], []
-        plan, solve = builder._carve_plan, builder._solve_cut
-
-        def spy_plan(*args):
-            plans.append(plan(*args))
-            return plans[-1]
-
-        def spy_solve(*args):
-            carves.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(builder, "_carve_plan", spy_plan)
-        monkeypatch.setattr(builder, "_solve_cut", spy_solve)
-        set_of_capacity(1 / 5 + 1e-7, 1e-10)
-        # root-split retries search anew; a carve passes its remaining depth
-        depths = [args[3] for args in carves if len(args) == 4]
-        assert depths == [builder._CARVE_DEPTH - 1]
-        assert sum(p is not None for p in plans) == len(depths)
-
-    def test_carve_plan_refusals(self):
-        hi, res = 0.5, builder.BISECTION_MAX_RESOLUTION
-        # a degenerate bracket map cannot be inverted
-        assert builder._carve_plan(0.3, 1e-10, (1.0, 1.0, 1.0, 1.0), hi, res) is None
-        # a local target too small for the rebuilt subtree to afford
-        assert builder._carve_plan(1e-6, 1e-10, (1.0, 0.0, 0.0, 1.0), hi, res) is None
-        # no sensitivity gained: the relaxed tolerance would not be looser
-        assert builder._carve_plan(0.3, 1e-10, (1.0, 0.0, 0.0, 1.0), hi, res) is None
-        assert builder._carve_plan(0.03, 1e-10, (1.0, 0.0, 30.0, 1.0), hi, res) is not None
+    def test_subnormal_target_fails_as_a_library_error(self):
+        # 1 / 1e-310 is infinite in floats, so a zero run must not turn the
+        # reciprocal into an int
+        with pytest.raises(ToleranceError):
+            set_of_capacity(1e-310, 1e-311)

@@ -11,7 +11,6 @@ from treecap import (
     brute_force_capacity,
     cantor_set,
     capacity,
-    capacity_table,
     TreecapError,
     condenser_capacity,
     energy,
@@ -20,7 +19,7 @@ from treecap import (
     prefix_set,
     random_boundary_set,
 )
-from treecap.capacity import _num
+from treecap.capacity import _num, _positions
 from treecap.tree import _EMPTY_LEAF, _child
 
 ROOT = VertexId(0, 0)
@@ -60,13 +59,13 @@ class TestCapacity:
     @given(boundary_sets())
     @settings(max_examples=60)
     def test_range_and_recursion(self, e):
-        table = capacity_table(e)
-        for v, c in table.values.items():
+        values = _positions(e, False)[0]
+        for v, c in values.items():
             assert -1e-15 <= c <= 0.5 + 1e-15
-        for v, c in table.values.items():
+        for v, c in values.items():
             left, right = v.children()
-            if left in table.values and right in table.values:
-                s = table.values[left] + table.values[right]
+            if left in values and right in values:
+                s = values[left] + values[right]
                 assert abs(c * (1.0 + s) - s) <= 1e-12
 
     @given(boundary_sets(), boundary_sets())
@@ -201,9 +200,9 @@ class TestExtremal:
         if capacity(e) == 0.0:
             return
         flux = extremal(e)
-        caps = capacity_table(e)
+        caps = _positions(e, False)[0]
         for v, hv in flux.h.items():
-            assert (hv > 0.0) == (caps.values[v] > 0.0)
+            assert (hv > 0.0) == (caps[v] > 0.0)
 
     @given(boundary_sets())
     @settings(max_examples=60)
@@ -334,16 +333,16 @@ class TestExactMode:
         assert value == Fraction(1, 2) + Fraction(1, 3)
 
     def test_exact_tables(self):
-        table = capacity_table(cantor_set(1), exact=True)
-        assert table.root_value == Fraction(2, 5)
+        values = _positions(cantor_set(1), True)[0]
+        assert values[ROOT] == Fraction(2, 5)
 
     def test_exact_extremal_c_column(self):
         e = cantor_set(2)
-        table = capacity_table(e, exact=True)
+        values = _positions(e, True)[0]
         rows = extremal(e, exact=True).to_json_obj()
-        assert len(rows) == len(table.values)
+        assert len(rows) == len(values)
         for row in rows:
-            assert row["c"] == _num(table.values[VertexId(*row["vertex"])])
+            assert row["c"] == _num(values[VertexId(*row["vertex"])])
 
     def test_exact_extremal_energy(self):
         e = cantor_set(2)

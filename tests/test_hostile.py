@@ -69,8 +69,8 @@ class TestDeepExport:
     @pytest.mark.parametrize(
         "argv, resolution",
         [
-            (["build-set", "--eps", "0.3333334"], 55113),
-            (["extremal", "--set", "cap:0.3333334"], 55113),
+            (["build-set", "--eps", "0.3333334"], 54525),
+            (["extremal", "--set", "cap:0.3333334"], 54525),
             (["equal-split", "--eps", "0.25", "--n", "13"], 16397),
         ],
         ids=["build-set", "extremal", "equal-split"],

@@ -5,8 +5,9 @@ The other modules reach nodes through `tree._join`, `tree._child` and
 kind changes one module.  This parses each of them and fails on any read of a
 node field or any mention of the node class.
 
-The cut search likewise keeps the choice between a trim and a union in its two
-rule constants, so no mode string may come back into `builder.py`.
+The cut search only trims the full set, and calibration chooses between
+shrinking and growing its base by which leaves it plants on, so no "trim" or
+"union" mode string may come back into `builder.py`.
 """
 
 import ast
