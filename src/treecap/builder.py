@@ -170,11 +170,7 @@ def _check_target(target: float, tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
-def set_of_capacity(
-    target: float,
-    tol: float,
-    max_resolution: int = BISECTION_MAX_RESOLUTION,
-) -> BoundarySet:
+def set_of_capacity(target: float, tol: float) -> BoundarySet:
     """A closed boundary set whose capacity is ``target`` within ``tol``.
 
     A search over arc preimages: the candidate sets are the closed preimages
@@ -182,12 +178,12 @@ def set_of_capacity(
     monotonically from 0 to 1/2, and the result is the coarsest cut along the
     path to t whose capacity is within ``0.9 tol`` of the target.
     Targets hugging a plateau of the cut family from above (where its mesh is
-    only harmonically fine, so the cut would pass ``max_resolution``) are
-    retried with a root split: one child takes an exact shallow piece and the
-    other reruns the search at a shifted target.
+    only harmonically fine, so the cut would pass ``BISECTION_MAX_RESOLUTION``
+    levels) are retried with a root split: one child takes an exact shallow
+    piece and the other reruns the search at a shifted target.
     """
     _check_target(target, tol)
-    result = _search(target, tol, max_resolution)
+    result = _search(target, tol, BISECTION_MAX_RESOLUTION)
     final = capacity(result)
     if abs(final - target) > tol:
         raise ToleranceError(

@@ -5,8 +5,8 @@ Everything reduces to one recursion over the trie: a Full leaf has subtree
 capacity 1/2, an Empty leaf 0, and an internal vertex ``s / (1 + s)`` where
 ``s`` is the sum of its children's subtree capacities.  The condenser value at
 level ``n`` is the sum of the subtree capacities of all ``2^n`` level-``n``
-vertices; subtrees buried inside a Full region contribute closed-form tails,
-never deep expansions.
+vertices, added up level by level with a leaf as its own child; a cut below
+the trie's depth gives each Full leaf a closed-form tail.
 
 The recursion is one `tree._fold` over the distinct trie nodes, run with one
 of two arithmetics: float mode works in binary64; exact mode carries
@@ -80,55 +80,34 @@ def capacity(e: BoundarySet, exact: bool = False):
 def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
     """Condenser capacity at cut level ``n``: the sum of level-``n`` subtree capacities.
 
-    A Full leaf at depth ``m <= n`` owns ``2^(n-m)`` level-``n`` subtrees worth
-    1/2 each, contributed in closed form.  ``n = 0`` gives back ``capacity(e)``.
-    In float mode a value beyond the binary64 range raises ``TreecapError``;
-    exact mode has no such limit.
+    Lists each level's distinct nodes down to level ``n`` or to a level of
+    leaves only (a leaf is its own child), then sums back up; a Full leaf
+    ``gap`` levels above the cut owns ``2^gap`` subtrees worth 1/2 each.
+    ``n = 0`` gives back ``capacity(e)``.  In float mode a value beyond the
+    binary64 range raises ``TreecapError``; exact mode has no such limit.
     """
     if n < 0:
         raise ValueError(f"cut level must be >= 0, got {n}")
-    root = e._root
-    leaf_value = _value_of(e, exact)
-    if exact:
-        zero = Fraction(0)
-        full_tail = lambda gap: Fraction(1 << gap, 2)
+    leaves = {_EMPTY_LEAF, _FULL_LEAF}
+    levels = [[e._root]]
+    while len(levels) <= n and not leaves.issuperset(levels[-1]):
+        below = (_child(node, bit) for node in levels[-1] for bit in (0, 1))
+        levels.append(list(dict.fromkeys(below)))
+    gap = n - (len(levels) - 1)
+    if gap == 0:
+        value_of = _value_of(e, exact)
+        values = {node: value_of(node) for node in levels[-1]}
+    elif exact:
+        values = {_FULL_LEAF: Fraction(1 << gap, 2), _EMPTY_LEAF: Fraction(0)}
     else:
-        zero = 0.0
         # 2^1023 is the largest power of two in binary64; past it the sum is inf
-        full_tail = lambda gap: 2.0 ** (gap - 1) if gap <= 1024 else math.inf
-
-    memo = {}
-
-    def settled(node, remaining):
-        if node is _EMPTY_LEAF:
-            return zero
-        if node is _FULL_LEAF:
-            return full_tail(remaining)
-        if remaining == 0:
-            return leaf_value(node)
-        return memo.get((node, remaining))
-
-    value = settled(root, n)
-    if value is None:
-        stack = [(root, n)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            node, remaining = key
-            left, right = _child(node, 0), _child(node, 1)
-            left_value = settled(left, remaining - 1)
-            right_value = settled(right, remaining - 1)
-            if left_value is not None and right_value is not None:
-                memo[key] = left_value + right_value
-                stack.pop()
-            else:
-                if right_value is None:
-                    stack.append((right, remaining - 1))
-                if left_value is None:
-                    stack.append((left, remaining - 1))
-        value = memo[(root, n)]
+        full = 2.0 ** (gap - 1) if gap <= 1024 else math.inf
+        values = {_FULL_LEAF: full, _EMPTY_LEAF: 0.0}
+    for level in reversed(levels[:-1]):
+        values = {
+            node: values[_child(node, 0)] + values[_child(node, 1)] for node in level
+        }
+    value = values[e._root]
     if not exact and math.isinf(value):
         raise TreecapError(
             f"condenser capacity at cut level {n} exceeds the float range; "

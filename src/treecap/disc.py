@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DegenerateSetError,
     MisalignedArcError,
     TreecapError,
 )
@@ -332,13 +331,6 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     return DiscSolution(
         energy / (2.0 * math.pi), ring, rho, cols, iterations, residual, kr, kt
     )
-
-
-def capacity_of_set(e: BoundarySet, grid: SolverGrid = SolverGrid()) -> float:
-    """Normalized capacity of a circle arc set: the condenser against the disc of radius 1/2."""
-    if e.is_empty():
-        raise DegenerateSetError("capacity_of_set needs a nonempty arc set")
-    return solve(CondenserProblem(e, 0.5), grid).capacity
 
 
 def condenser_profile(

@@ -161,7 +161,7 @@ class TestSetOfCapacity:
 
     def test_tolerance_unreachable_reports_bracket(self):
         with pytest.raises(ToleranceError) as err:
-            set_of_capacity(0.2341, 1e-12, max_resolution=12)
+            builder._search(0.2341, 1e-12, 12)
         assert err.value.bracket is not None
 
     def test_random_targets(self):

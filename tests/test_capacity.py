@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,37 @@ class TestCondenser:
         assert condenser_capacity(e, 1024) == 2.0**1023
         with pytest.raises(TreecapError, match="exceeds the float range"):
             condenser_capacity(e, 1025)
+
+    @given(boundary_sets())
+    @settings(max_examples=40)
+    def test_sum_over_level_vertices(self, e):
+        c = _positions(e, True)[0]
+
+        def at(n, j):
+            # the subtree capacity at the deepest trie position on the path to
+            # (n, j); below a leaf that is the leaf's own 1/2 or 0
+            for level in range(n, -1, -1):
+                v = VertexId(level, j >> (n - level))
+                if v in c:
+                    return c[v]
+
+        for n in range(9):
+            expected = sum(at(n, j) for j in range(1 << n))
+            assert condenser_capacity(e, n, exact=True) == expected
+            assert abs(condenser_capacity(e, n) - expected) <= 1e-12 * expected
+
+    def test_stops_at_the_deepest_leaf(self, monkeypatch):
+        calls = []
+
+        def counted(node, bit):
+            calls.append(bit)
+            return _child(node, bit)
+
+        capacity_module = importlib.import_module("treecap.capacity")
+        monkeypatch.setattr(capacity_module, "_child", counted)
+        half = prefix_set(Fraction(1, 2))
+        assert condenser_capacity(half, 10**6, exact=True) == 2 ** (10**6 - 2)
+        assert len(calls) <= 24
 
     @given(boundary_sets(), st.integers(0, 10))
     @settings(max_examples=60)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from treecap import (
     BoundarySet,
     ConvergenceError,
-    DegenerateSetError,
     MisalignedArcError,
     TreecapError,
     VertexId,
@@ -21,7 +20,6 @@ from treecap import (
 from treecap.disc import (
     CondenserProblem,
     SolverGrid,
-    capacity_of_set,
     condenser_profile,
     solve,
     _conductances,
@@ -331,15 +329,6 @@ class TestSizeGuard:
 
 
 class TestWrappers:
-    def test_capacity_of_set_is_half_radius_solve(self):
-        e = prefix_set(0.5)
-        direct = solve(CondenserProblem.from_set(e, 0.5), FAST).capacity
-        assert capacity_of_set(e, FAST) == direct
-
-    def test_capacity_of_set_rejects_empty(self):
-        with pytest.raises(DegenerateSetError):
-            capacity_of_set(BoundarySet.empty(), FAST)
-
     def test_profile_full_circle(self):
         profile = condenser_profile(BoundarySet.full(), 4, FAST)
         assert [n for n, _ in profile] == [1, 2, 3, 4]
