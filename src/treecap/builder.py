@@ -115,7 +115,7 @@ def _closure_set(bits: list[int], deepest) -> BoundarySet:
     return BoundarySet(node)
 
 
-def _solve_cut(target, tol, max_resolution):
+def _solve_cut(target, tol):
     """The coarsest prefix arc [0, t] whose capacity is ``target`` within ``0.9 tol``.
 
     The search walks down the path to the cut vertex in that vertex's own
@@ -135,17 +135,17 @@ def _solve_cut(target, tol, max_resolution):
             # when both leaves fit, the one nearer to x
             full = hi >= 0.5 and (lo > 0.0 or x > 0.25)
             return _closure_set(bits, _FULL_LEAF if full else _EMPTY_LEAF)
-        if len(bits) >= max_resolution:
+        if len(bits) >= BISECTION_MAX_RESOLUTION:
             raise ToleranceError(
                 f"could not reach tolerance {tol} within resolution "
-                f"{max_resolution}; the window at the cut vertex is [{lo}, {hi}]",
+                f"{BISECTION_MAX_RESOLUTION}; the window at the cut vertex is [{lo}, {hi}]",
                 bracket=(lo, hi),
             )
 
         # a run of m 0-bits maps 1/v to 1/v - m; it lasts until x reaches 1/3
         # (the next bit is 1) or hi reaches 1/2 (the Full exit), so take it in
         # one step and stop two bits short of both for the step below to end
-        run = int(min(1.0 / x - 5.0, 1.0 / hi - 4.0, max_resolution - len(bits) - 1))
+        run = int(min(1.0 / x - 5.0, 1.0 / hi - 4.0, BISECTION_MAX_RESOLUTION - len(bits) - 1))
         if run > 0:
             bits.extend([0] * run)
             x, lo, hi = (1.0 / (1.0 / v - run) for v in (x, lo, hi))
@@ -183,7 +183,7 @@ def set_of_capacity(target: float, tol: float) -> BoundarySet:
     piece and the other reruns the search at a shifted target.
     """
     _check_target(target, tol)
-    result = _search(target, tol, BISECTION_MAX_RESOLUTION)
+    result = _search(target, tol)
     final = capacity(result)
     if abs(final - target) > tol:
         raise ToleranceError(
@@ -194,12 +194,12 @@ def set_of_capacity(target: float, tol: float) -> BoundarySet:
     return result
 
 
-def _search(target, tol, max_resolution) -> BoundarySet:
+def _search(target, tol) -> BoundarySet:
     """``set_of_capacity``'s set, unchecked: the cut search or its root split."""
     try:
-        return _solve_cut(target, tol, max_resolution)
+        return _solve_cut(target, tol)
     except ToleranceError as exc:
-        return _split_fallback(target, tol, max_resolution, exc)
+        return _split_fallback(target, tol, exc)
 
 
 def _fallback_pieces():
@@ -216,7 +216,7 @@ def _fallback_pieces():
         yield Fraction(5, 1 << (k + 1))
 
 
-def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
+def _split_fallback(target, tol, original) -> BoundarySet:
     """Root-split construction for targets the plain cut search cannot reach.
 
     The children capacities only need to sum to ``target / (1 - target)``, so
@@ -233,13 +233,13 @@ def _split_fallback(target, tol, max_resolution, original) -> BoundarySet:
         if not 1e-6 < rest < 0.5 - 1e-9:
             continue
         try:
-            right = _solve_cut(rest, tol_sub, max_resolution)
+            right = _solve_cut(rest, tol_sub)
         except ToleranceError:
             continue
         return BoundarySet(_join(piece._root, right._root))
     raise ToleranceError(
         f"no reachable construction for capacity {target} at tolerance {tol} "
-        f"within resolution {max_resolution}; last bracket {original.bracket}",
+        f"within resolution {BISECTION_MAX_RESOLUTION}; last bracket {original.bracket}",
         bracket=original.bracket,
     ) from original
 
@@ -294,7 +294,7 @@ def calibrated_set(
         slope = plant((x, 1.0), _slope_merge, (0.5, 0.0), (0.0, 0.0))[1]
         piece_tol = 0.9 * (tol - abs(miss)) / slope
     try:
-        piece = _search(x, piece_tol, BISECTION_MAX_RESOLUTION)
+        piece = _search(x, piece_tol)
     except ToleranceError as exc:
         raise CalibrationError(
             f"cannot calibrate set of capacity {c0} to {target}: {exc}"

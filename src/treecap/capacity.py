@@ -192,15 +192,13 @@ class FluxTable:
     def _position_of(self, vertex: VertexId) -> VertexId:
         """Deepest trie position on the path to ``vertex``: ``vertex`` or a leaf.
 
-        Every internal position has ``c > 0``, so ``c == 0`` marks an Empty leaf.
+        Trie positions are closed under taking prefixes, so it is the first
+        one met walking up from ``vertex``.  Every internal position has
+        ``c > 0``, so ``c == 0`` marks an Empty leaf.
         """
-        prefix = ROOT
-        for level in range(1, vertex.level + 1):
-            step = VertexId(level, vertex.index >> (vertex.level - level))
-            if step not in self.h:
-                break
-            prefix = step
-        return prefix
+        while vertex not in self.h:
+            vertex = vertex.parent()
+        return vertex
 
     def to_json_obj(self):
         return [
@@ -342,7 +340,6 @@ def brute_force_capacity(e: BoundarySet, depth: int) -> float:
 
 
 def _num(value):
-    """JSON-friendly number: floats pass through, fractions become 'p/q' strings."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
+    """JSON-friendly number: floats pass through, exact values become strings
+    such as ``"1/3"`` (whole numbers as ``"4"``)."""
+    return value if isinstance(value, float) else str(value)

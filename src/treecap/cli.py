@@ -29,6 +29,7 @@ from . import __version__, experiments
 from .builder import equal_split, set_of_capacity
 from .capacity import (
     EquilibriumMeasure,
+    _num,
     capacity,
     condenser_capacity,
     energy,
@@ -66,11 +67,6 @@ def _add_set_flags(parser):
 
 def _grid(args) -> SolverGrid:
     return SolverGrid(n_angular=args.grid_angular, n_radial=args.grid_radial)
-
-
-def _value(x):
-    """JSON-safe number: fractions become 'p/q' strings."""
-    return x if isinstance(x, float) else str(x)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_cap_tree(args):
     value = capacity(parse_set_spec(args.set, args.tol), exact=args.exact)
-    payload = {"set": args.set, "exact": args.exact, "capacity": _value(value)}
+    payload = {"set": args.set, "exact": args.exact, "capacity": _num(value)}
     return payload, [payload]
 
 
@@ -169,7 +165,7 @@ def _cmd_cap_cond(args):
     check_n_max(args.n_max)
     bset = parse_set_spec(args.set, args.tol)
     rows = [
-        {"n": n, "value": _value(condenser_capacity(bset, n, exact=args.exact))}
+        {"n": n, "value": _num(condenser_capacity(bset, n, exact=args.exact))}
         for n in range(args.n_max + 1)
     ]
     return {"set": args.set, "exact": args.exact, "rows": rows}, rows
@@ -182,8 +178,8 @@ def _cmd_extremal(args):
     vertices = flux.to_json_obj()
     payload = {
         "set": args.set,
-        "capacity": _value(flux.root_capacity),
-        "energy": _value(energy(flux)),
+        "capacity": _num(flux.root_capacity),
+        "energy": _num(energy(flux)),
         "vertices": vertices,
         "measure": EquilibriumMeasure(flux).to_json_obj(),
     }

@@ -45,6 +45,11 @@ from .tree import BoundarySet
 # (1 GiB of float64); larger grids fail up front instead of in the allocator.
 MAX_ARRAY_ELEMENTS = 1 << 27
 
+# The CG stops once its residual falls to CG_TOL times the initial one, and
+# raises ConvergenceError after CG_MAX_ITER iterations.
+CG_TOL = 1e-10
+CG_MAX_ITER = 60000
+
 
 @dataclass(frozen=True)
 class SolverGrid:
@@ -52,8 +57,6 @@ class SolverGrid:
 
     n_angular: int = 1024
     n_radial: int = 200
-    tol: float = 1e-10
-    max_iter: int = 60000
 
     def __post_init__(self):
         if self.n_angular < 4 or self.n_angular & (self.n_angular - 1):
@@ -62,8 +65,6 @@ class SolverGrid:
             )
         if self.n_radial < 4:
             raise ValueError(f"need at least 4 radial layers, got {self.n_radial}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,6 @@ class DiscSolution:
     capacity: float
     ring: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
-    n_angular: int = 0
     iterations: int = 0
     residual: float = 0.0
     _kr: np.ndarray = field(repr=False, default=None)
@@ -109,12 +109,13 @@ class DiscSolution:
 
         Each angular mode of ring ``i`` is the ring's mode times its gain
         (``_ring_gains``), which minimizes the interior energy for the given
-        ring values.  Costs one symbol sweep and ``len(radii) * n_angular``
+        ring values.  Costs one symbol sweep and ``len(radii) * ring.size``
         values of memory, which must stay within ``MAX_ARRAY_ELEMENTS``.
         """
-        _check_size(len(self.radii) * self.n_angular, "the potential field")
-        gains = _ring_gains(self._kr, self._kt, self.n_angular)
-        u = np.fft.irfft(gains * np.fft.rfft(self.ring), n=self.n_angular, axis=1)
+        cols = self.ring.size
+        _check_size(len(self.radii) * cols, "the potential field")
+        gains = _ring_gains(self._kr, self._kt, cols)
+        u = np.fft.irfft(gains * np.fft.rfft(self.ring), n=cols, axis=1)
         u[-1] = self.ring
         return u
 
@@ -129,20 +130,10 @@ class DiscSolution:
 
     def field_rows(self):
         """(rho, theta, u) triples of the potential field, for CSV dumps."""
-        thetas = 2.0 * math.pi * np.arange(self.n_angular) / self.n_angular
+        thetas = 2.0 * math.pi * np.arange(self.ring.size) / self.ring.size
         for i, rho in enumerate(self.radii):
             for k, theta in enumerate(thetas):
                 yield float(rho), float(theta), float(self.potential[i, k])
-
-    def to_json_obj(self) -> dict:
-        """Result summary (the field itself goes through ``field_rows``)."""
-        return {
-            "capacity": self.capacity,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "rings": len(self.radii),
-            "n_angular": self.n_angular,
-        }
 
 
 def _check_size(values: int, what: str) -> None:
@@ -264,7 +255,7 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     conjugate gradients preconditioned with the inverse circulant: a residual
     is padded with 0 on the plate, multiplied by ``1/S`` in Fourier space and
     restricted to the free nodes, which is symmetric positive definite because
-    ``S`` is.  ``grid.tol`` bounds the unpreconditioned residual relative to
+    ``S`` is.  ``CG_TOL`` bounds the unpreconditioned residual relative to
     that of the plate values alone, and ``iterations`` and ``residual`` report
     this boundary iteration.  The capacity is the ring quadratic form
     ``sum_k w_k S_k |g_k|^2 / (2 pi N)`` of the ring values' modes ``g_k``
@@ -295,14 +286,14 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     r = -np.fft.irfft(symbol * np.fft.rfft(ring), n=cols)[free]
     x = np.zeros_like(r)
     residual = math.sqrt(float(r @ r))
-    target = grid.tol * residual
+    target = CG_TOL * residual
     iterations = 0
 
     if residual > 0.0:
         z = on_free(r, inverse)
         p = z.copy()
         rz = float(r @ z)
-        for iterations in range(1, grid.max_iter + 1):
+        for iterations in range(1, CG_MAX_ITER + 1):
             q = on_free(p, symbol)
             alpha = rz / float(p @ q)
             x += alpha * p
@@ -318,9 +309,9 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
         else:
             raise ConvergenceError(
                 f"preconditioned conjugate gradient did not reach residual "
-                f"{target:.3e} in {grid.max_iter} iterations (residual {residual:.3e})",
+                f"{target:.3e} in {CG_MAX_ITER} iterations (residual {residual:.3e})",
                 residual=residual,
-                iterations=grid.max_iter,
+                iterations=CG_MAX_ITER,
             )
 
     ring[free] = x
@@ -329,7 +320,7 @@ def solve(problem: CondenserProblem, grid: SolverGrid = SolverGrid()) -> DiscSol
     # modes 1..N/2-1 stand for themselves and their conjugates
     energy = float(2.0 * power.sum() - power[0] - power[-1]) / cols
     return DiscSolution(
-        energy / (2.0 * math.pi), ring, rho, cols, iterations, residual, kr, kt
+        energy / (2.0 * math.pi), ring, rho, iterations, residual, kr, kt
     )
 
 

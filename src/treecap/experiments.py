@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -65,13 +65,7 @@ class ExperimentReport:
     timing_seconds: float = 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "rows": self.rows,
-            "verdict": self.verdict,
-            "timing_seconds": self.timing_seconds,
-        }
+        return asdict(self)
 
 
 def _base_params(**kwargs) -> dict:
@@ -217,7 +211,7 @@ def run_blowup(
     n_max: int,
     threshold: float = 1e3,
     with_disc: bool = False,
-    grid: SolverGrid | None = None,
+    grid: SolverGrid = SolverGrid(),
     tol: float = 1e-9,
 ) -> ExperimentReport:
     """Growth of the condenser capacity of a fixed positive-capacity set.
@@ -232,7 +226,6 @@ def run_blowup(
     cap = capacity(bset)
     if cap <= 0.0:
         raise DegenerateSetError("blow-up needs a set of positive capacity")
-    grid = grid or SolverGrid()
     disc = _disc_levels(bset, min(n_max, 6), grid) if with_disc else {}
 
     rows = []
@@ -396,7 +389,7 @@ def run_lowerbound(
 def run_compare(
     e,
     n_max: int = 6,
-    grid: SolverGrid | None = None,
+    grid: SolverGrid = SolverGrid(),
     tol: float = 1e-9,
 ) -> ExperimentReport:
     """Tree vs disc condenser capacities: the ratio stays in a fixed bracket.
@@ -410,7 +403,6 @@ def run_compare(
     bset, set_record = _resolve_set(e, tol)
     if bset.is_empty():
         raise DegenerateSetError("comparison needs a nonempty set")
-    grid = grid or SolverGrid()
 
     # the level-1 condenser radius 1 - 2^-1 equals the normalization radius
     # 1/2, so the n = 1 solve also serves the n = 0 row
@@ -457,7 +449,7 @@ def run_conjecture(
     deltas: list[float],
     n_max: int,
     with_disc: bool = False,
-    grid: SolverGrid | None = None,
+    grid: SolverGrid = SolverGrid(),
 ) -> ExperimentReport:
     """Exploratory chart of the sharp bound against its gap-form rescaling.
 
@@ -469,7 +461,6 @@ def run_conjecture(
     check_n_max(n_max)
     if not deltas:
         raise ValueError("need at least one delta")
-    grid = grid or SolverGrid()
     rows = []
     agree = True
     for delta in deltas:

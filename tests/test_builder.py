@@ -127,6 +127,22 @@ class TestLowerBound:
         assert lower_bound(0.25, n) == plateau_bound(0.25)
         assert lower_bound_gap_form(0.25, n) == plateau_bound(0.25)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (psi_iterate, (0.25, -1)),
+            (lower_bound, (0.6, 2)),
+            (lower_bound, (0.25, -1)),
+            (lower_bound_gap_form, (-0.1, 2)),
+            (lower_bound_gap_form, (0.25, -1)),
+            (plateau_bound, (0.0,)),
+            (plateau_bound, (0.5,)),
+        ],
+    )
+    def test_domain(self, fn, args):
+        with pytest.raises(ValueError, match=r"must (be >= 0|lie in)"):
+            fn(*args)
+
     def test_doubling_then_plateau_shape(self):
         for delta in (2.0**-3, 2.0**-6, 0.3):
             for n in range(1, 20):
@@ -159,9 +175,10 @@ class TestSetOfCapacity:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             set_of_capacity(0.2, math.nan)
 
-    def test_tolerance_unreachable_reports_bracket(self):
+    def test_tolerance_unreachable_reports_bracket(self, monkeypatch):
+        monkeypatch.setattr(builder, "BISECTION_MAX_RESOLUTION", 12)
         with pytest.raises(ToleranceError) as err:
-            builder._search(0.2341, 1e-12, 12)
+            builder._search(0.2341, 1e-12)
         assert err.value.bracket is not None
 
     def test_random_targets(self):
@@ -318,6 +335,13 @@ class TestCalibratedSet:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             calibrated_set(BoundarySet.full(), 0.3, math.nan)
 
+    def test_piece_deeper_than_the_cap_raises(self):
+        # the piece's capacity, about 6.4e-7 at a tolerance of about 4.3e-7,
+        # needs a cut deeper than BISECTION_MAX_RESOLUTION
+        base = set_of_capacity(0.3, 1e-12)
+        with pytest.raises(CalibrationError, match="cannot calibrate"):
+            calibrated_set(base, 0.3000004, 3e-7)
+
 
 class TestCantor:
     def test_structure(self):
@@ -410,7 +434,7 @@ class TestCutSearch:
         + [(t, 1e-12) for t in (0.0672, 0.118, 0.2499999, 0.3114, 0.4222, 0.49)],
     )
     def test_coarsest_cut(self, target, tol):
-        result = builder._solve_cut(target, tol, builder.BISECTION_MAX_RESOLUTION)
+        result = builder._solve_cut(target, tol)
         assert abs(capacity(result) - target) <= tol
         ((start, t),) = result.intervals()
         assert start == 0
@@ -422,10 +446,11 @@ class TestCutSearch:
                 piece = prefix_set(cut, max_resolution=None)
                 assert abs(capacity(piece) - target) > 0.9 * tol
 
-    def test_resolution_cap_reports_the_window(self):
+    def test_resolution_cap_reports_the_window(self, monkeypatch):
+        monkeypatch.setattr(builder, "BISECTION_MAX_RESOLUTION", 12)
         target, tol = 0.2341, 1e-12
         with pytest.raises(ToleranceError, match="within resolution 12") as err:
-            builder._solve_cut(target, tol, 12)
+            builder._solve_cut(target, tol)
         lo, hi = err.value.bracket
         assert 0.0 < lo < hi < 0.5
         # the cut path by bisection on prefix arcs: bit 1 while the arc

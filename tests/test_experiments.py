@@ -3,11 +3,13 @@ import importlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from treecap import (
     BoundarySet,
+    DegenerateSetError,
     SetSpecError,
     VertexId,
     capacity,
@@ -38,6 +40,9 @@ class TestSetSpecLanguage:
         assert parse_set_spec("prefix:1/2") == prefix_set(0.5)
         assert parse_set_spec("prefix:3/2^3") == prefix_set(0.375)
         assert parse_set_spec("shadow:2,1") == BoundarySet.shadow(VertexId(2, 1))
+
+    def test_decimal_prefix(self):
+        assert parse_set_spec("prefix:0.375") == prefix_set(Fraction(3, 8))
 
     def test_cap_atom(self):
         e = parse_set_spec("cap:0.3", tol=1e-9)
@@ -126,6 +131,10 @@ class TestReports:
         for row in report.rows:
             assert 0.1 <= row["ratio"] <= 10.0
 
+    def test_compare_refuses_the_empty_set(self):
+        with pytest.raises(DegenerateSetError, match="nonempty"):
+            run_compare("empty", 2, grid=FAST)
+
     def test_compare_full_circle_columns(self):
         report = run_compare("full", n_max=3, grid=FAST)
         assert report.verdict
@@ -143,6 +152,13 @@ class TestReports:
         knees = {row["delta"]: row["knee"] for row in report.rows}
         assert knees[0.25] == pytest.approx(2.0)
         assert knees[0.0625] == pytest.approx(4.0)
+
+    def test_conjecture_with_disc_column(self):
+        report = run_conjecture([0.25], 3, with_disc=True, grid=FAST)
+        assert report.verdict
+        by_n = {row["n"]: row["disc"] for row in report.rows}
+        assert by_n[0] is None
+        assert all(isinstance(by_n[n], float) and by_n[n] > 0.0 for n in (1, 2, 3))
 
     def test_blowup_with_disc_column(self):
         report = run_blowup("full", 3, with_disc=True, grid=FAST)
@@ -182,6 +198,30 @@ class TestCli:
         assert main(["cap-tree", "--set", "union(shadow:2,0, shadow:3,6)", "--exact"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["capacity"] == "7/19"
+
+    @pytest.mark.parametrize(
+        "spec", ["full", "empty", "shadow:1,0", "union(shadow:2,0, shadow:3,6)"]
+    )
+    def test_exact_numbers_print_as_fractions(self, spec, capsys):
+        # every exact number is str(Fraction): "7/19", and "0" or "4" when whole
+        def strings(obj):
+            if isinstance(obj, dict):
+                return [s for k, v in obj.items() if k != "set" for s in strings(v)]
+            if isinstance(obj, list):
+                return [s for v in obj for s in strings(v)]
+            return [obj] if isinstance(obj, str) else []
+
+        found = []
+        for command in (["cap-tree"], ["cap-cond", "--n-max", "4"], ["extremal"]):
+            code = main([*command, "--set", spec, "--exact"])
+            out = capsys.readouterr().out
+            if command == ["extremal"] and spec == "empty":
+                assert code == 2  # a null set has no extremal flux
+                continue
+            assert code == 0
+            found += strings(json.loads(out))
+        assert found
+        assert all(str(Fraction(s)) == s for s in found), found
 
     def test_cap_cond_csv(self, capsys):
         assert main(["cap-cond", "--set", "full", "--n-max", "3", "--format", "csv"]) == 0

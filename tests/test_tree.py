@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treecap import (
@@ -19,6 +19,7 @@ from treecap import (
     random_boundary_set,
     rho,
 )
+from treecap.tree import _join
 
 
 def vertex_ids(max_level=8):
@@ -60,6 +61,16 @@ def shadow_mask(n, j):
 
 
 FULL_MASK = shadow_mask(0, 0)
+
+
+def shallow_sets():
+    """Sets of depth <= 5, whose two-copy doubling still fits the oracle."""
+    return st.one_of(
+        leaf_pairs(max_level=ORACLE_DEPTH - 1).map(BoundarySet.from_full_leaves),
+        st.integers(0, 2**31).map(
+            lambda seed: random_boundary_set(seed, max_depth=ORACLE_DEPTH - 1)
+        ),
+    )
 
 
 def mask(e):
@@ -155,6 +166,10 @@ class TestPrefixSet:
 
     def test_three_eighths(self):
         assert prefix_set(Fraction(3, 8)).full_leaves() == [(2, 0), (3, 2)]
+
+    def test_outside_the_circle_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            prefix_set(Fraction(3, 2))
 
     def test_non_dyadic_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +276,18 @@ class TestSetAlgebra:
         assert u.is_full() == (ma | mb == FULL_MASK)
         assert i.is_empty() == (ma & mb == 0)
 
+    @given(shallow_sets(), shallow_sets())
+    @example(
+        BoundarySet.from_full_leaves([(2, 0)]), BoundarySet.from_full_leaves([(2, 1)])
+    )
+    def test_shared_halves_match_bit_mask_oracle(self, a, b):
+        # both halves of each operand are one node, so the walk meets the
+        # pair of halves twice and finds it in its memo the second time
+        da, db = (BoundarySet(_join(e._root, e._root)) for e in (a, b))
+        ma, mb = mask(da), mask(db)
+        assert mask(da.union(db)) == ma | mb
+        assert mask(da.intersection(db)) == ma & mb
+
     @given(leaf_pairs(), leaf_pairs())
     def test_from_full_leaves_matches_bit_mask_oracle(self, pairs, more):
         pairs = pairs + more + pairs[:2]  # overlapping and repeated pairs too
@@ -292,6 +319,40 @@ class TestSerialization:
     def test_bad_text(self):
         with pytest.raises(SetSpecError):
             BoundarySet.from_text("2-0")
+
+    def test_text_skips_blank_and_comment_lines(self):
+        text = "# two arcs\n\n2:0\n   \n  # the second\n3:6\n"
+        assert BoundarySet.from_text(text) == BoundarySet.from_full_leaves(
+            [(2, 0), (3, 6)]
+        )
+
+    @pytest.mark.parametrize("obj", [[[1]], [["a", 0]]])
+    def test_bad_json(self, obj):
+        with pytest.raises(SetSpecError, match="bad JSON leaf list"):
+            BoundarySet.from_json_obj(obj)
+
+    def test_small_set_repr_evaluates_back(self):
+        e = BoundarySet.from_full_leaves([(1, 1), (3, 1), (5, 9)])
+        assert e.node_count() <= 33
+        text = repr(e)
+        assert text.startswith("BoundarySet.from_full_leaves(")
+        assert eval(text, {"BoundarySet": BoundarySet}) == e
+
+    def test_large_set_repr_lists_no_leaves(self, monkeypatch):
+        carrier = equal_split(0.25, 4).carrier
+        expected = (
+            f"BoundarySet(<{carrier.node_count()} nodes, "
+            f"resolution {carrier.resolution}>)"
+        )
+
+        def refuse(self):
+            raise AssertionError("repr listed the leaves")
+
+        monkeypatch.setattr(BoundarySet, "full_leaves", refuse)
+        assert repr(carrier) == expected
+
+    def test_equality_with_another_type(self):
+        assert (BoundarySet.full() == 1) is False
 
     def test_empty_and_full(self):
         assert BoundarySet.from_text("") == BoundarySet.empty()
