@@ -18,7 +18,7 @@ from random import Random
 
 from .capacity import capacity, _float_merge
 from .errors import CalibrationError, ToleranceError, TreecapError
-from .tree import BoundarySet, prefix_set, _EMPTY_LEAF, _FULL_LEAF, _fold, _join
+from .tree import BoundarySet, prefix_set, _EMPTY_LEAF, _FULL_LEAF, _fold, _join, _path
 
 BISECTION_MAX_RESOLUTION = 200_000
 
@@ -102,17 +102,9 @@ def plateau_bound(eps: float) -> float:
 # the cut search on dyadic cut points
 # ---------------------------------------------------------------------------
 
-def _closure_set(bits: list[int], deepest) -> BoundarySet:
-    """Materialize the cut set along the path to the cut vertex.
-
-    ``deepest`` is planted at the cut vertex; each left sibling of the path
-    lies inside the arc [0, t] and is Full, each right sibling outside it and
-    is Empty.
-    """
-    node = deepest
-    for bit in reversed(bits):
-        node = _join(_FULL_LEAF, node) if bit else _join(node, _EMPTY_LEAF)
-    return BoundarySet(node)
+def _closure_set(bits: list[str], deepest) -> BoundarySet:
+    """The cut set [0, t]: ``deepest`` at the cut vertex, Full left of each 1-bit."""
+    return BoundarySet(_path(bits, deepest, _FULL_LEAF))
 
 
 def _solve_cut(target, tol):
@@ -128,7 +120,7 @@ def _solve_cut(target, tol):
     deep the cut goes.  The cut vertex becomes an Empty leaf once 0 lies in
     the window, a Full one once 1/2 does.
     """
-    bits: list[int] = []
+    bits: list[str] = []
     x, lo, hi = target, target - 0.9 * tol, target + 0.9 * tol
     while True:
         if lo <= 0.0 or hi >= 0.5:
@@ -147,12 +139,12 @@ def _solve_cut(target, tol):
         # one step and stop two bits short of both for the step below to end
         run = int(min(1.0 / x - 5.0, 1.0 / hi - 4.0, BISECTION_MAX_RESOLUTION - len(bits) - 1))
         if run > 0:
-            bits.extend([0] * run)
+            bits.extend("0" * run)
             x, lo, hi = (1.0 / (1.0 / v - run) for v in (x, lo, hi))
 
         # the cut vertex's midpoint (left child Full, right Empty) is worth 1/3
-        bit = 1 if x >= 1.0 / 3.0 else 0
-        a = 0.5 if bit else 0.0
+        bit = "1" if x >= 1.0 / 3.0 else "0"
+        a = 0.5 if bit == "1" else 0.0
         bits.append(bit)
         x, lo, hi = (v / (1.0 - v) - a for v in (x, lo, hi))
 
@@ -227,7 +219,7 @@ def _split_fallback(target, tol, original) -> BoundarySet:
     s_needed = target / (1.0 - target)
     tol_sub = 0.8 * tol * (1.0 + s_needed) ** 2
     for cut in _fallback_pieces():
-        piece = prefix_set(cut, max_resolution=None)
+        piece = prefix_set(cut)
         w = capacity(piece)
         rest = s_needed - w
         if not 1e-6 < rest < 0.5 - 1e-9:

@@ -178,7 +178,7 @@ class FluxTable:
         if self.c[prefix] == 0:  # an Empty leaf
             return self.h[prefix] * 0
         gap = vertex.level - prefix.level
-        return self.h[prefix] / (1 << gap)
+        return _halved(self.h[prefix], gap)
 
     def H_at(self, vertex: VertexId):
         prefix = self._position_of(vertex)
@@ -187,7 +187,7 @@ class FluxTable:
         gap = vertex.level - prefix.level
         value = self.H[prefix]
         one = Fraction(1) if isinstance(value, Fraction) else 1.0
-        return one - (one - value) / (1 << gap)
+        return one - _halved(one - value, gap)
 
     def _position_of(self, vertex: VertexId) -> VertexId:
         """Deepest trie position on the path to ``vertex``: ``vertex`` or a leaf.
@@ -210,6 +210,14 @@ class FluxTable:
             }
             for v in sorted(self.h)
         ]
+
+
+def _halved(value, gap: int):
+    """``value / 2^gap``; in floats by exponent, which underflows to 0 where
+    dividing by the int ``2^gap`` overflows its conversion (gap >= 1024)."""
+    if isinstance(value, float):
+        return math.ldexp(value, -gap)
+    return value / (1 << gap)
 
 
 def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:

@@ -34,13 +34,14 @@ from .errors import (
     ResolutionError,
     SetSpecError,
 )
-from .tree import DEFAULT_MAX_RESOLUTION, BoundarySet, VertexId, prefix_set
+from .tree import BoundarySet, VertexId, prefix_set, _dyadic_resolution
 
 # fixed acceptance rules of the experiments, recorded in their reports
 _BLOWUP_RATIO_WINDOW_START = 8  # first level whose step ratio must show doubling
 _PLATEAU_VERDICT_TOL = 1e-9  # largest gap from the closed form
 _COMPARE_BRACKET = (0.1, 10.0)  # range for every disc/tree ratio
 _COMPARE_SPREAD_MAX = 20.0  # largest max/min ratio over the levels
+DEFAULT_MAX_RESOLUTION = 30  # deepest t a prefix: spec may give
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -154,6 +155,7 @@ def _split_args(body: str) -> list[str]:
 
 
 def _parse_dyadic(text: str) -> Fraction:
+    """The t of a ``prefix:`` spec, refused when deeper than ``DEFAULT_MAX_RESOLUTION``."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
@@ -170,8 +172,16 @@ def _parse_dyadic(text: str) -> Fraction:
                     f"{DEFAULT_MAX_RESOLUTION}"
                 )
             return Fraction(p, 2**q)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+        t = Fraction(int(num), int(den))
+    else:
+        t = Fraction(text)
+    # `prefix_set` refuses a t outside [0, 1] first, and a non-dyadic t with
+    # the error `_dyadic_resolution` raises here
+    if 0 <= t <= 1 and (q := _dyadic_resolution(t)) > DEFAULT_MAX_RESOLUTION:
+        raise ResolutionError(
+            f"t = {t} needs resolution {q} > maximum {DEFAULT_MAX_RESOLUTION}"
+        )
+    return t
 
 
 def _load_set_file(path: str) -> BoundarySet:

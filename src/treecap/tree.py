@@ -12,10 +12,11 @@ The trie is the only representation, and no other module reads its nodes:
 `_join` builds every internal node, `_child` descends one level, and `_fold`
 computes a value per distinct node bottom-up (capacities, hash, resolution,
 node count).  `_apply` combines two tries by a memoized node-pair walk (union,
-intersection), and `_trie_of_arcs` builds a trie from sorted disjoint arcs in
-one pass: leaf lists, shadows and prefix arcs.  The two traversals cost time in
-the distinct nodes of the shared trie, not in its positions; only leaf
-enumeration and serialization grow with the positions.
+intersection).  `_path` is the one place that lays out a path: shadows, prefix
+arcs and the builder's cut sets are each one path, and `_trie_of_arcs` builds
+a leaf list by joining the paths of its arcs at their confluents.  The two
+traversals cost time in the distinct nodes of the shared trie, not in its
+positions; only leaf enumeration and serialization grow with the positions.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ResolutionError, SetSpecError
-
-DEFAULT_MAX_RESOLUTION = 30
 
 
 @dataclass(frozen=True, order=True)
@@ -207,43 +206,47 @@ def _apply(a: _Node, b: _Node, union: bool) -> _Node:
     return memo[(a, b)]
 
 
+def _turns(v: VertexId) -> str:
+    """The turns from the root to ``v``, one "0" (left) or "1" (right) per level."""
+    # the slice drops the "0" that the root's index would print as
+    return format(v.index, f"0{v.level}b")[: v.level]
+
+
+def _path(turns: Sequence[str], deepest: _Node, left: _Node) -> _Node:
+    """The trie of one path: ``deepest`` at its end, ``left`` beside each "1"
+    turn and an Empty leaf beside each "0" turn.
+
+    The one place that lays out a path, built bottom-up in one pass over the
+    turns; `_join` keeps the result canonical.
+    """
+    node = deepest
+    for turn in reversed(turns):
+        node = _join(left, node) if turn == "1" else _join(node, _EMPTY_LEAF)
+    return node
+
+
 def _trie_of_arcs(arcs: list[VertexId]) -> _Node:
     """Canonical trie of dyadic arcs sorted left to right and pairwise disjoint.
 
-    A depth-first walk that descends only into the vertex holding the next
-    arc and closes every other subtree as Empty, so it visits each node of the
-    result once: time linear in the trie, without recursion.  Each arc's turns
-    are read once, as a bit string, and the walk counts the leading levels of
-    its path that follow them: O(1) per level whatever the index size.
+    Below the deeper of its confluents with its two neighbours an arc is
+    alone, so that part is one `_path`.  A finished left subtree waits on the
+    stack at its confluent's level until its right sibling joins it, and each
+    join is lifted by a `_path` to the next confluent up, so every node of the
+    result is built once: time linear in the trie, without recursion.
     """
-    # each arc's turns from the root, one "0"/"1" per level; the slice drops
-    # the "0" that the root's index would print as
-    paths = [format(v.index, f"0{v.level}b")[: v.level] for v in arcs]
-    pending = []  # per ancestor of the current vertex: left subtree, None while built
-    p = 0
-    agree = 0 if arcs else -1  # leading levels of the current path on paths[p]
-    while True:
-        level = len(pending)
-        if agree == level:
-            if level < len(paths[p]):
-                pending.append(None)
-                agree += paths[p][level] == "0"
-                continue
-            node = _FULL_LEAF
-            p += 1
-            agree = confluent(arcs[p - 1], arcs[p]).level if p < len(arcs) else -1
-        else:
-            node = _EMPTY_LEAF
-        # node is finished: join it into every parent whose right child it
-        # completes, then start the right child of the nearest open parent
-        while pending and pending[-1] is not None:
-            node = _join(pending.pop(), node)
-        if not pending:
-            return node
-        pending[-1] = node
-        d = len(pending) - 1
-        if agree >= d:
-            agree = d + (paths[p][d] == "1")
+    stack = [(-1, _EMPTY_LEAF)]  # (confluent level, finished left subtree below it)
+    for p, v in enumerate(arcs):
+        turns = _turns(v)
+        after = confluent(v, arcs[p + 1]).level if p + 1 < len(arcs) else -1
+        node, depth = _FULL_LEAF, v.level
+        while True:
+            level = max(stack[-1][0], after)
+            node = _path(turns[level + 1 : depth], node, _EMPTY_LEAF)
+            if level == after:
+                break
+            node, depth = _join(stack.pop()[1], node), level
+        stack.append((after, node))
+    return stack[-1][1]
 
 
 class BoundarySet:
@@ -272,7 +275,7 @@ class BoundarySet:
     @staticmethod
     def shadow(vertex: VertexId) -> "BoundarySet":
         """The shadow S(x): every boundary point passing through ``vertex``."""
-        return BoundarySet(_trie_of_arcs([vertex]))
+        return BoundarySet(_path(_turns(vertex), _FULL_LEAF, _EMPTY_LEAF))
 
     @staticmethod
     def from_full_leaves(pairs: Iterable[tuple[int, int]]) -> "BoundarySet":
@@ -438,34 +441,22 @@ _EMPTY_SET = BoundarySet(_EMPTY_LEAF)
 _FULL_SET = BoundarySet(_FULL_LEAF)
 
 
-def prefix_set(
-    t, max_resolution: int | None = DEFAULT_MAX_RESOLUTION
-) -> BoundarySet:
+def prefix_set(t) -> BoundarySet:
     """The closed set of boundary points mapping into the circle arc [0, t].
 
-    ``t`` must be a dyadic rational in [0, 1].  Each binary digit 1 of ``t``
-    at place k contributes the level-k arc just left of the expansion path,
-    and these arcs tile [0, t].
+    ``t`` must be a dyadic rational p/2^q in [0, 1].  The set is the path to
+    the level-q vertex at t, which is Empty: its turns are the q binary
+    digits of t, each digit 1 has the Full arc left of the path beside it and
+    each digit 0 the Empty arc right of it.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     q = _dyadic_resolution(t)
-    if max_resolution is not None and q > max_resolution:
-        raise ResolutionError(
-            f"t = {t} needs resolution {q} > maximum {max_resolution}"
-        )
-    if t == 0:
-        return _EMPTY_SET
     if t == 1:
         return _FULL_SET
-    p = t.numerator  # t = p / 2^q, so digit k of t is bit q - k of p
-    arcs = [
-        VertexId(k, (p >> (q - k)) - 1)
-        for k in range(1, q + 1)
-        if (p >> (q - k)) & 1
-    ]
-    return BoundarySet(_trie_of_arcs(arcs))
+    turns = _turns(VertexId(q, t.numerator))  # the q binary digits of t
+    return BoundarySet(_path(turns, _EMPTY_LEAF, _FULL_LEAF))
 
 
 def _dyadic_resolution(x: Fraction) -> int:

@@ -443,7 +443,7 @@ class TestCutSearch:
         for d in range(result.resolution):
             low = Fraction(math.floor(t * 2**d), 2**d)
             for cut in (low, low + Fraction(1, 2**d)):
-                piece = prefix_set(cut, max_resolution=None)
+                piece = prefix_set(cut)
                 assert abs(capacity(piece) - target) > 0.9 * tol
 
     def test_resolution_cap_reports_the_window(self, monkeypatch):

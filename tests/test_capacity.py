@@ -298,6 +298,17 @@ class TestFluxQueries:
             assert flux.H_at(v) == want_H
 
 
+    def test_deep_queries_underflow_to_zero(self):
+        # 2^-1099 is below the smallest float: the flux underflows to 0 and
+        # the deficit 1 - H with it, instead of an int too large to convert
+        e = prefix_set(Fraction(1, 2))
+        deep = VertexId(1100, 3)
+        flux = extremal(e)
+        assert flux.h_at(deep) == 0.0
+        assert flux.H_at(deep) == 1.0
+        assert equilibrium_measure(e).mass_of(deep) == 0.0
+
+
 class TestEnergy:
     def test_full_boundary(self):
         assert abs(energy(extremal(BoundarySet.full())) - 0.5) <= 1e-12

@@ -19,6 +19,7 @@ from treecap import (
     random_boundary_set,
     rho,
 )
+from treecap.experiments import parse_set_spec
 from treecap.tree import _join
 
 
@@ -176,8 +177,16 @@ class TestPrefixSet:
             prefix_set(Fraction(1, 3))
 
     def test_resolution_overflow(self):
-        with pytest.raises(ResolutionError):
-            prefix_set(Fraction(1, 2**40), max_resolution=30)
+        # the spec parser caps a prefix at 30 levels, in any form of t
+        with pytest.raises(ResolutionError, match="resolution 40 > maximum 30"):
+            parse_set_spec("prefix:1/1099511627776")
+
+    def test_matches_bit_mask_oracle(self):
+        # [0, p/2^q] covers the first p 2^(6-q) of the 64 level-6 arcs
+        for q in range(ORACLE_DEPTH + 1):
+            for p in range((1 << q) + 1):
+                width = p << (ORACLE_DEPTH - q)
+                assert mask(prefix_set(Fraction(p, 1 << q))) == (1 << width) - 1
 
     @given(st.integers(1, 255))
     def test_closed_under_complementary_arc(self, p):
@@ -209,11 +218,11 @@ class TestCanonicalization:
         assert BoundarySet.from_full_leaves(e.full_leaves()) == e
 
     def test_deep_leaf_list_roundtrip(self):
-        # a 4000-level path trie, about 2000 leaves: the build from sorted
-        # leaves is linear where a union of shadows was quadratic in depth
-        depth = 4000
+        # a 20,000-level path trie, about 10,000 leaves: the build from
+        # sorted leaves is linear where a union of shadows was quadratic in depth
+        depth = 20000
         t = Fraction(2 * Random(depth).getrandbits(depth - 1) + 1, 1 << depth)
-        e = prefix_set(t, max_resolution=None)
+        e = prefix_set(t)
         leaves = e.full_leaves()
         rebuilt = BoundarySet.from_full_leaves(leaves)
         assert rebuilt == e
