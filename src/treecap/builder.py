@@ -54,6 +54,14 @@ def lower_bound(eps: float, n: int) -> float:
     """Sharp lower bound for the level-``n`` condenser capacity over sets of capacity ``eps``.
 
     Equals ``2^n * psi_iterate(eps, n)``; attained by the equal-split family.
+
+    Proof: the children of a vertex of capacity ``c`` have capacities summing
+    to ``f(c) = c / (1 - c)``, so ``cond_{n+1}`` is ``f(c_v)`` summed over the
+    level-``n`` vertices ``v``.  ``f`` is convex on [0, 1/2], so Jensen over
+    those ``2^n`` vertices gives ``cond_{n+1} >= 2^n f(cond_n / 2^n)``, that is
+    ``a_{n+1} >= psi(a_n)`` for ``a_n = cond_n / 2^n``.  ``psi`` is increasing
+    and ``a_0 = eps``, so ``a_n >= psi^n(eps)``, with equality exactly when
+    every level's vertex capacities are equal, as in the equal-split family.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"capacity must lie in [0, 1/2], got {eps}")

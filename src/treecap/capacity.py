@@ -12,6 +12,15 @@ The recursion is one `tree._fold` over the distinct trie nodes, run with one
 of two arithmetics: float mode works in binary64; exact mode carries
 unreduced integer pairs so that even path tries tens of thousands of levels
 deep evaluate quickly, and makes a Fraction only for a value it returns.
+
+The extremal flux ``h`` goes top-down, ``h(v) = (1 - H(parent)) c(v)``, where
+``H`` sums ``h`` along the path; so ``1 - H(v)`` is the product of
+``1 - c(u)`` over the vertices ``u`` from the root to ``v``, and ``h`` and
+``H`` at a vertex take one descent.  The energy is one more fold: a subtree
+whose parent has path sum ``H`` holds ``(1 - H)^2 S`` of it, where
+``S = c^2 + (1 - c)^2 (S_left + S_right)``, 1/2 at a Full leaf (its tail
+included) and 0 at an Empty leaf.  Only the flux export and the leaf masses
+walk the trie positions.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateSetError, TreecapError
-from .tree import ROOT, BoundarySet, VertexId, _EMPTY_LEAF, _FULL_LEAF, _child, _fold
+from .tree import (
+    ROOT, BoundarySet, VertexId, _EMPTY_LEAF, _FULL_LEAF, _child, _fold, _turns,
+)
 
 MAX_BRUTE_FORCE_DEPTH = 8
 
@@ -117,98 +128,85 @@ def condenser_capacity(e: BoundarySet, n: int, exact: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# tables over explicit trie positions
+# the extremal flux, by descent and by walk
 # ---------------------------------------------------------------------------
+
+MAX_EXPORT_POSITIONS = 2**20  # the most trie positions `FluxTable.to_json_obj` lists
+
+
+def _step(above, c):
+    """``(h, H)`` at a position of subtree capacity ``c`` whose parent has path
+    sum ``above`` (0 above the root): ``h = (1 - above) c`` and ``H = above + h``."""
+    h = (1 - above) * c
+    return h, above + h
 
 
 def _positions(e: BoundarySet, exact: bool):
-    """Subtree capacity ``c``, extremal flux ``h`` and path sum ``H`` per trie position.
-
-    One top-down walk: the root carries ``h = c(root)`` and every child gets
-    ``h(child) = (1 - H(parent)) * c(child)``.  `energy` sums ``h`` in the
-    order of its keys, so the walk fixes that order.
-    """
+    """Yield every trie position of ``e``, left subtree first, as
+    ``(vertex, node, c, h, H)``: one `_step` per position, so only exports use it."""
     cap = _value_of(e, exact)
-    one = Fraction(1) if exact else 1.0
-    c_root = cap(e._root)
-    c = {ROOT: c_root}
-    h = {ROOT: c_root}
-    H = {ROOT: c_root}
-    stack = [(e._root, 0, 0, c_root)]  # node, level, index, H at node
+    stack = [(e._root, ROOT, 0)]  # node, vertex, path sum above it
     while stack:
-        node, level, index, h_sum = stack.pop()
-        left = _child(node, 0)
-        if left is node:  # a leaf: no positions below it
-            continue
-        deficit = one - h_sum
-        for child, j in ((left, 2 * index), (_child(node, 1), 2 * index + 1)):
-            cc = cap(child)
-            hc = deficit * cc
-            v = VertexId(level + 1, j)
-            c[v] = cc
-            h[v] = hc
-            H[v] = h_sum + hc
-            stack.append((child, level + 1, j, h_sum + hc))
-    return c, h, H
+        node, v, above = stack.pop()
+        c = cap(node)
+        h, H = _step(above, c)
+        yield v, node, c, h, H
+        if _child(node, 0) is not node:  # a leaf has no positions below it
+            left, right = v.children()
+            stack += ((_child(node, 1), right, H), (_child(node, 0), left, H))
 
 
 @dataclass
 class FluxTable:
-    """Subtree capacities ``c``, extremal flux ``h`` and its path sums ``H``
-    over explicit trie positions.
+    """The extremal flux ``h`` of a set and its path sums ``H``, one descent per query.
 
-    Below a Full leaf the continuation is implicit: ``h`` halves at every
-    descent and the deficit ``1 - H`` halves with it, so queries at implicit
-    vertices are closed-form (`h_at`, `H_at`).
+    Below a Full leaf ``h`` halves at every level and the deficit ``1 - H``
+    halves with it, so queries below a leaf are closed-form.
     """
 
     boundary_set: BoundarySet
-    c: dict[VertexId, object] = field(repr=False)
-    h: dict[VertexId, object] = field(repr=False)
-    H: dict[VertexId, object] = field(repr=False)
+    exact: bool = False
 
     @property
     def root_capacity(self):
-        return self.c[ROOT]
+        return capacity(self.boundary_set, self.exact)
 
     def h_at(self, vertex: VertexId):
-        prefix = self._position_of(vertex)
-        if prefix == vertex:
-            return self.h[prefix]
-        if self.c[prefix] == 0:  # an Empty leaf
-            return self.h[prefix] * 0
-        gap = vertex.level - prefix.level
-        return _halved(self.h[prefix], gap)
+        return self._at(vertex)[0]
 
     def H_at(self, vertex: VertexId):
-        prefix = self._position_of(vertex)
-        if prefix == vertex or self.c[prefix] == 0:
-            return self.H[prefix]
-        gap = vertex.level - prefix.level
-        value = self.H[prefix]
-        one = Fraction(1) if isinstance(value, Fraction) else 1.0
-        return one - _halved(one - value, gap)
+        return self._at(vertex)[1]
 
-    def _position_of(self, vertex: VertexId) -> VertexId:
-        """Deepest trie position on the path to ``vertex``: ``vertex`` or a leaf.
-
-        Trie positions are closed under taking prefixes, so it is the first
-        one met walking up from ``vertex``.  Every internal position has
-        ``c > 0``, so ``c == 0`` marks an Empty leaf.
-        """
-        while vertex not in self.h:
-            vertex = vertex.parent()
-        return vertex
+    def _at(self, vertex: VertexId):
+        """``(h, H)`` at ``vertex``: one `_step` per level down to ``vertex`` or
+        to a leaf above it, then the leaf's closed-form tail."""
+        cap = _value_of(self.boundary_set, self.exact)
+        node = self.boundary_set._root
+        h, H = _step(0, cap(node))
+        for depth, turn in enumerate(_turns(vertex.level, vertex.index)):
+            if _child(node, 0) is node:  # a leaf: the rest of the path is its region
+                if node is _EMPTY_LEAF:  # where h is already 0
+                    return h, H
+                gap = vertex.level - depth
+                return _halved(h, gap), 1 - _halved(1 - H, gap)
+            node = _child(node, turn == "1")
+            h, H = _step(H, cap(node))
+        return h, H
 
     def to_json_obj(self):
+        """One row per trie position, sorted by vertex.  One fold counts the
+        positions first, and more than `MAX_EXPORT_POSITIONS` raise."""
+        root = self.boundary_set._root
+        count = _fold(root, 1, 1, lambda l, r, _: 1 + l + r)[root]
+        if count > MAX_EXPORT_POSITIONS:
+            raise TreecapError(
+                f"cannot export the flux at {count} trie positions; "
+                f"at most {MAX_EXPORT_POSITIONS} export"
+            )
+        walk = sorted(_positions(self.boundary_set, self.exact), key=lambda row: row[0])
         return [
-            {
-                "vertex": [v.level, v.index],
-                "c": _num(self.c[v]),
-                "h": _num(self.h[v]),
-                "H": _num(self.H[v]),
-            }
-            for v in sorted(self.h)
+            {"vertex": [v.level, v.index], "c": _num(c), "h": _num(h), "H": _num(H)}
+            for v, _, c, h, H in walk
         ]
 
 
@@ -221,31 +219,28 @@ def _halved(value, gap: int):
 
 
 def extremal(e: BoundarySet, exact: bool = False) -> FluxTable:
-    """Extremal flux for the capacity problem of ``e``.
-
-    Top-down rescaling (`_positions`) makes ``h`` additive and reproduces the
-    subtree capacities after renormalization.  Raises for null sets, where no
-    equilibrium normalization exists.
-    """
+    """Extremal flux for the capacity problem of ``e``; raises for null sets,
+    where no equilibrium normalization exists."""
     if capacity(e, exact) == 0:
         raise DegenerateSetError(
             "the set has zero capacity; the extremal flux is identically zero"
         )
-    return FluxTable(e, *_positions(e, exact))
+    return FluxTable(e, exact)
 
 
 def energy(flux: FluxTable):
-    """Squared flux norm, with the closed-form tail below each Full leaf.
+    """Squared flux norm with each Full leaf's tail, by one fold of ``S`` (see
+    the module docstring); it equals the capacity of the underlying set."""
 
-    The implicit continuation under a Full leaf carrying ``h`` contributes
-    exactly ``h^2`` (the geometric tail of the halving), so the total equals
-    the capacity of the underlying set.
-    """
-    total = sum(value * value for value in flux.h.values())
-    for level, index in flux.boundary_set.full_leaves():
-        hv = flux.h[VertexId(level, index)]
-        total += hv * hv
-    return total
+    def merge(left, right, _same):
+        (cl, sl), (cr, sr) = left, right
+        s = cl + cr
+        c = s / (1 + s)  # `_float_merge` in floats
+        return c, c * c + (1 - c) * (1 - c) * (sl + sr)
+
+    half, zero = (Fraction(1, 2), Fraction(0)) if flux.exact else (0.5, 0.0)
+    root = flux.boundary_set._root
+    return _fold(root, (half, half), (zero, zero), merge)[root][1]
 
 
 @dataclass
@@ -260,9 +255,9 @@ class EquilibriumMeasure:
 
     @property
     def arc_masses(self) -> dict[VertexId, object]:
-        """Mass of each Full leaf's arc: the flux into that leaf."""
-        leaves = (VertexId(n, j) for n, j in self.boundary_set.full_leaves())
-        return {v: self.flux.h[v] for v in leaves}
+        """Mass of each Full leaf's arc, in arc order: the flux into that leaf."""
+        walk = _positions(self.boundary_set, self.flux.exact)
+        return {v: h for v, node, _, h, _ in walk if node is _FULL_LEAF}
 
     @property
     def total_mass(self):
@@ -273,11 +268,8 @@ class EquilibriumMeasure:
         return self.flux.h_at(vertex)
 
     def to_json_obj(self):
-        masses = self.arc_masses
-        return [
-            {"arc": [v.level, v.index], "mass": _num(masses[v])}
-            for v in sorted(masses)
-        ]
+        masses = sorted(self.arc_masses.items())
+        return [{"arc": [v.level, v.index], "mass": _num(m)} for v, m in masses]
 
 
 def equilibrium_measure(e: BoundarySet, exact: bool = False) -> EquilibriumMeasure:

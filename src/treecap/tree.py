@@ -206,10 +206,12 @@ def _apply(a: _Node, b: _Node, union: bool) -> _Node:
     return memo[(a, b)]
 
 
-def _turns(v: VertexId) -> str:
-    """The turns from the root to ``v``, one "0" (left) or "1" (right) per level."""
-    # the slice drops the "0" that the root's index would print as
-    return format(v.index, f"0{v.level}b")[: v.level]
+def _turns(level: int, index: int) -> str:
+    """The last ``level`` turns on the path to a vertex of index ``index``: its
+    low ``level`` bits, one "0" (left) or "1" (right) per level."""
+    # only the bits read are formatted; the slice drops the "0" that no bits
+    # would print as
+    return format(index & ((1 << level) - 1), f"0{level}b")[:level]
 
 
 def _path(turns: Sequence[str], deepest: _Node, left: _Node) -> _Node:
@@ -236,12 +238,12 @@ def _trie_of_arcs(arcs: list[VertexId]) -> _Node:
     """
     stack = [(-1, _EMPTY_LEAF)]  # (confluent level, finished left subtree below it)
     for p, v in enumerate(arcs):
-        turns = _turns(v)
         after = confluent(v, arcs[p + 1]).level if p + 1 < len(arcs) else -1
+        turns = _turns(v.level - after - 1, v.index)  # the turns below `after`
         node, depth = _FULL_LEAF, v.level
         while True:
             level = max(stack[-1][0], after)
-            node = _path(turns[level + 1 : depth], node, _EMPTY_LEAF)
+            node = _path(turns[level - after : depth - after - 1], node, _EMPTY_LEAF)
             if level == after:
                 break
             node, depth = _join(stack.pop()[1], node), level
@@ -275,7 +277,7 @@ class BoundarySet:
     @staticmethod
     def shadow(vertex: VertexId) -> "BoundarySet":
         """The shadow S(x): every boundary point passing through ``vertex``."""
-        return BoundarySet(_path(_turns(vertex), _FULL_LEAF, _EMPTY_LEAF))
+        return BoundarySet(_path(_turns(vertex.level, vertex.index), _FULL_LEAF, _EMPTY_LEAF))
 
     @staticmethod
     def from_full_leaves(pairs: Iterable[tuple[int, int]]) -> "BoundarySet":
@@ -455,7 +457,7 @@ def prefix_set(t) -> BoundarySet:
     q = _dyadic_resolution(t)
     if t == 1:
         return _FULL_SET
-    turns = _turns(VertexId(q, t.numerator))  # the q binary digits of t
+    turns = _turns(q, t.numerator)  # the q binary digits of t
     return BoundarySet(_path(turns, _EMPTY_LEAF, _FULL_LEAF))
 
 

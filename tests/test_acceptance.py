@@ -121,10 +121,11 @@ def test_criterion_5_extremal_machinery():
             c = capacity(e)
             flux = extremal(e)
             assert abs(energy(flux) - c) <= 1e-9
-            for v, hv in flux.h.items():
+            h = {VertexId(*row["vertex"]): row["h"] for row in flux.to_json_obj()}
+            for v, hv in h.items():
                 left, right = v.children()
-                if left in flux.h and right in flux.h:
-                    assert abs(hv - flux.h[left] - flux.h[right]) <= 1e-12
+                if left in h and right in h:
+                    assert abs(hv - h[left] - h[right]) <= 1e-12
             measure = equilibrium_measure(e)
             assert abs(measure.total_mass - c) <= 1e-12
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecap import builder
+from treecap.capacity import _positions
+from treecap.tree import _EMPTY_LEAF, _FULL_LEAF
 from treecap import (
     BoundarySet,
     CalibrationError,
@@ -271,6 +273,34 @@ class TestSharpness:
             for n in range(9):
                 floor = 2.0**n * psi_iterate(c, n)
                 assert condenser_capacity(e, n) >= floor - 1e-9
+
+    def test_level_identity_and_jensen_step(self):
+        # children of a vertex of capacity c sum to f(c) = c/(1 - c), so
+        # cond_{n+1} = sum over |v| = n of f(c_v); f is convex, and Jensen over
+        # the 2^n level-n vertices gives cond_{n+1} >= 2^n f(cond_n / 2^n)
+        def f(c):
+            return c / (1 - c)
+
+        sets = [random_boundary_set(seed, max_depth=8) for seed in range(200)]
+        sets = [e for e in sets if not e.is_empty()] + [cantor_set(k) for k in range(5)]
+        assert len(sets) == 148
+        checks = equalities = 0
+        for e in sets:
+            # f(c_v) summed over level n: a leaf at level m stands for its
+            # 2^(n - m) level-n descendants, each with the leaf's own c
+            sums = [Fraction(0)] * 9
+            for v, node, c, _, _ in _positions(e, True):
+                leaf = node in (_FULL_LEAF, _EMPTY_LEAF)
+                for n in range(v.level, 9 if leaf else min(v.level + 1, 9)):
+                    sums[n] += (1 << (n - v.level)) * f(c)
+            cond = [condenser_capacity(e, n, exact=True) for n in range(10)]
+            for n in range(9):
+                assert cond[n + 1] == sums[n]
+                margin = cond[n + 1] - (1 << n) * f(cond[n] / (1 << n))
+                assert margin >= 0
+                checks += 1
+                equalities += margin == 0
+        assert (checks, equalities) == (1332, 370)
 
 
 class TestCalibratedSet:

@@ -21,9 +21,17 @@ from treecap import (
     random_boundary_set,
 )
 from treecap.capacity import _num, _positions
-from treecap.tree import _EMPTY_LEAF, _child
+from treecap.tree import _EMPTY_LEAF, _FULL_LEAF, _child
 
 ROOT = VertexId(0, 0)
+
+
+def _columns(e, exact=False):
+    """``c``, ``h`` and ``H`` per trie position, from the export walk."""
+    c, h, H = {}, {}, {}
+    for v, _, cv, hv, Hv in _positions(e, exact):
+        c[v], h[v], H[v] = cv, hv, Hv
+    return c, h, H
 
 
 def boundary_sets(max_level=6, max_leaves=10):
@@ -60,7 +68,7 @@ class TestCapacity:
     @given(boundary_sets())
     @settings(max_examples=60)
     def test_range_and_recursion(self, e):
-        values = _positions(e, False)[0]
+        values = _columns(e)[0]
         for v, c in values.items():
             assert -1e-15 <= c <= 0.5 + 1e-15
         for v, c in values.items():
@@ -113,7 +121,7 @@ class TestCondenser:
     @given(boundary_sets())
     @settings(max_examples=40)
     def test_sum_over_level_vertices(self, e):
-        c = _positions(e, True)[0]
+        c = _columns(e, True)[0]
 
         def at(n, j):
             # the subtree capacity at the deepest trie position on the path to
@@ -194,15 +202,15 @@ class TestBruteForceOracle:
 class TestExtremal:
     def test_full_boundary(self):
         flux = extremal(BoundarySet.full())
-        assert flux.h[ROOT] == 0.5
+        assert flux.h_at(ROOT) == 0.5
         for level, index in [(1, 0), (3, 5), (7, 100)]:
             assert abs(flux.h_at(VertexId(level, index)) - 2.0 ** (-level - 1)) <= 1e-15
 
     def test_single_shadow(self):
         flux = extremal(BoundarySet.shadow(VertexId(1, 0)))
-        assert abs(flux.h[ROOT] - 1.0 / 3.0) <= 1e-15
-        assert abs(flux.h[VertexId(1, 0)] - 1.0 / 3.0) <= 1e-15
-        assert flux.h[VertexId(1, 1)] == 0.0
+        assert abs(flux.h_at(ROOT) - 1.0 / 3.0) <= 1e-15
+        assert abs(flux.h_at(VertexId(1, 0)) - 1.0 / 3.0) <= 1e-15
+        assert flux.h_at(VertexId(1, 1)) == 0.0
 
     def test_zero_off_support(self):
         e = BoundarySet.shadow(VertexId(2, 0))
@@ -219,11 +227,11 @@ class TestExtremal:
     def test_flux_additivity(self, e):
         if capacity(e) == 0.0:
             return
-        flux = extremal(e)
-        for v, hv in flux.h.items():
+        h = _columns(e)[1]
+        for v, hv in h.items():
             left, right = v.children()
-            if left in flux.h and right in flux.h:
-                assert abs(hv - flux.h[left] - flux.h[right]) <= 1e-12
+            if left in h and right in h:
+                assert abs(hv - h[left] - h[right]) <= 1e-12
 
     @given(boundary_sets())
     @settings(max_examples=60)
@@ -231,9 +239,8 @@ class TestExtremal:
         # h(x) > 0 exactly where the set meets the subtree below x
         if capacity(e) == 0.0:
             return
-        flux = extremal(e)
-        caps = _positions(e, False)[0]
-        for v, hv in flux.h.items():
+        caps, h, _ = _columns(e)
+        for v, hv in h.items():
             assert (hv > 0.0) == (caps[v] > 0.0)
 
     @given(boundary_sets())
@@ -241,11 +248,11 @@ class TestExtremal:
     def test_path_sums_bounded_and_monotone(self, e):
         if capacity(e) == 0.0:
             return
-        flux = extremal(e)
-        for v, Hv in flux.H.items():
+        H = _columns(e)[2]
+        for v, Hv in H.items():
             assert -1e-15 <= Hv <= 1.0 + 1e-15
             if v.level > 0:
-                assert Hv >= flux.H[v.parent()] - 1e-15
+                assert Hv >= H[v.parent()] - 1e-15
 
     def test_deficit_halves_inside_full_regions(self):
         e = prefix_set(Fraction(3, 8))
@@ -272,7 +279,7 @@ def _descend(flux, vertex):
 
 
 class TestFluxQueries:
-    """`h_at`/`H_at` answer from the table as a trie walk would."""
+    """`h_at`/`H_at` answer as the export walk over every position does."""
 
     @given(boundary_sets(), st.booleans(), st.data())
     @settings(max_examples=40)
@@ -280,12 +287,13 @@ class TestFluxQueries:
         if e.is_empty():
             return
         flux = extremal(e, exact)
+        _, table_h, table_H = _columns(e, exact)
         depth = e.resolution + 4
         for _ in range(10):
             level = data.draw(st.integers(0, depth))
             v = VertexId(level, data.draw(st.integers(0, (1 << level) - 1)))
             node, prefix = _descend(flux, v)
-            h, H = flux.h[prefix], flux.H[prefix]
+            h, H = table_h[prefix], table_H[prefix]
             if prefix == v:
                 want_h, want_H = h, H
             elif node is _EMPTY_LEAF:
@@ -318,12 +326,20 @@ class TestEnergy:
         flux = extremal(BoundarySet.shadow(VertexId(1, 0)))
         assert abs(energy(flux) - 1.0 / 3.0) <= 1e-12
 
-    def test_quadratic_scaling(self):
-        flux = extremal(cantor_set(2))
-        base = energy(flux)
-        for v in flux.h:
-            flux.h[v] *= 3.0
-        assert abs(energy(flux) - 9.0 * base) <= 1e-12
+    @given(boundary_sets(), st.booleans())
+    @settings(max_examples=40)
+    def test_fold_matches_the_position_sum(self, e, exact):
+        # the energy fold regroups sum h^2 over the positions, plus h^2 for
+        # the tail below each Full leaf
+        if e.is_empty():
+            return
+        walk = list(_positions(e, exact))
+        total = sum(h * h for _, _, _, h, _ in walk)
+        total += sum(h * h for _, node, _, h, _ in walk if node is _FULL_LEAF)
+        if exact:
+            assert energy(extremal(e, exact)) == total
+        else:
+            assert abs(energy(extremal(e)) - total) <= 1e-14 * total
 
     @given(boundary_sets())
     @settings(max_examples=60)
@@ -356,7 +372,7 @@ class TestEquilibriumMeasure:
             return
         m = equilibrium_measure(e)
         assert abs(m.total_mass - capacity(e)) <= 1e-12
-        for v in list(m.flux.h)[:30]:
+        for v in list(_columns(e)[1])[:30]:
             left, right = v.children()
             assert abs(
                 m.mass_of(v) - m.mass_of(left) - m.mass_of(right)
@@ -376,12 +392,12 @@ class TestExactMode:
         assert value == Fraction(1, 2) + Fraction(1, 3)
 
     def test_exact_tables(self):
-        values = _positions(cantor_set(1), True)[0]
+        values = _columns(cantor_set(1), True)[0]
         assert values[ROOT] == Fraction(2, 5)
 
     def test_exact_extremal_c_column(self):
         e = cantor_set(2)
-        values = _positions(e, True)[0]
+        values = _columns(e, True)[0]
         rows = extremal(e, exact=True).to_json_obj()
         assert len(rows) == len(values)
         for row in rows:

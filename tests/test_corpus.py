@@ -1,11 +1,15 @@
-"""Characterization corpus for the set constructions.
+"""Characterization corpus for the set constructions and the extremal flux.
 
-Each case builds one set (a prefix arc, a shadow, a leaf list, a stock set, a
-set of prescribed capacity or a calibration) and records its resolution, its
-distinct node count, the ``repr`` of its float capacity and a sha1 of its
-leaves, or the error text when the build raises.  The committed values file
-holds the records, so any change to what the constructions build shows up as
-a diff against it.
+Each construction case builds one set (a prefix arc, a shadow, a leaf list, a
+stock set, a set of prescribed capacity or a calibration) and records its
+resolution, its distinct node count, the ``repr`` of its float capacity and a
+sha1 of its leaves, or the error text when the build raises.  The flux slice
+takes the small sets among them (prefixes, leaf lists, Cantor sets) and
+records, in float and exact mode, the ``repr`` of ``h_at`` and ``H_at`` at
+seeded vertices down to four levels below the set's resolution and a sha1 of
+the ``vertices`` and ``measure`` JSON that ``extremal`` prints.  The committed
+values file holds the records, so any change to what the constructions build
+or to the flux shows up as a diff against it.
 
 Rewrite the values file after a deliberate change with::
 
@@ -23,12 +27,14 @@ import pytest
 
 from treecap import (
     BoundarySet,
+    EquilibriumMeasure,
     TreecapError,
     VertexId,
     calibrated_set,
     cantor_set,
     capacity,
     equal_split,
+    extremal,
     prefix_set,
     random_boundary_set,
     set_of_capacity,
@@ -85,9 +91,13 @@ def leaf_list_cases():
         yield f"leaves {seed}", lambda pairs=pairs: BoundarySet.from_full_leaves(pairs)
 
 
-def stock_cases():
+def cantor_cases():
     for levels in range(6):
         yield f"cantor {levels}", lambda levels=levels: cantor_set(levels)
+
+
+def stock_cases():
+    yield from cantor_cases()
     for eps, n in ((0.25, 8), (0.4, 9)):
         yield f"carrier {eps} {n}", lambda eps=eps, n=n: equal_split(eps, n).carrier
 
@@ -137,21 +147,65 @@ FAMILIES = {
 }
 
 
+def _sha1(obj) -> str:
+    return hashlib.sha1(json.dumps(obj).encode()).hexdigest()
+
+
+def flux_record(name: str, e: BoundarySet, exact: bool) -> dict:
+    """The flux of one set: queries at seeded vertices and its two JSON exports."""
+    try:
+        flux = extremal(e, exact)
+    except TreecapError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    rng = Random(name)
+    queries = []
+    for _ in range(4):
+        level = rng.randint(0, e.resolution + 4)
+        v = VertexId(level, rng.getrandbits(level) if level else 0)
+        queries.append(f"{v.level}:{v.index:x} {flux.h_at(v)!r} {flux.H_at(v)!r}")
+    return {
+        "queries": queries,
+        "vertices": _sha1(flux.to_json_obj()),
+        "measure": _sha1(EquilibriumMeasure(flux).to_json_obj()),
+    }
+
+
+FLUX_FAMILIES = {"prefix": prefix_cases, "leaves": leaf_list_cases, "cantor": cantor_cases}
+
+
 def records(family: str) -> dict:
     return {name: record(build) for name, build in FAMILIES[family]()}
 
 
+def flux_records(family: str) -> dict:
+    out = {}
+    for name, build in FLUX_FAMILIES[family]():
+        e = build()
+        for mode, exact in (("float", False), ("exact", True)):
+            out[f"{name} {mode}"] = flux_record(name, e, exact)
+    return out
+
+
+def _changed(expected: dict, got: dict) -> list:
+    return sorted(name for name in expected.keys() | got.keys()
+                  if expected.get(name) != got.get(name))
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_constructions_match_corpus(family):
-    expected = json.loads(VALUES.read_text())[family]
-    got = records(family)
-    changed = sorted(name for name in expected.keys() | got.keys()
-                     if expected.get(name) != got.get(name))
+    changed = _changed(json.loads(VALUES.read_text())[family], records(family))
     assert not changed, f"{len(changed)} {family} records differ, first: {changed[:5]}"
+
+
+@pytest.mark.parametrize("family", list(FLUX_FAMILIES))
+def test_flux_matches_corpus(family):
+    changed = _changed(json.loads(VALUES.read_text())["flux"][family], flux_records(family))
+    assert not changed, f"{len(changed)} {family} flux records differ, first: {changed[:5]}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
     values = {family: records(family) for family in FAMILIES}
+    values["flux"] = {family: flux_records(family) for family in FLUX_FAMILIES}
     VALUES.write_text(json.dumps(values, indent=1, sort_keys=True) + "\n")

@@ -2,15 +2,26 @@
 
 Each case goes through the command line and must fail fast: exit code 2 and
 a one-line error, without first doing the work that would not fit in time or
-memory.  Nothing here asserts wall-clock time; where speed is the point, the
-slow path is made to raise instead.
+memory.  Where speed is the point, the slow path is made to raise instead;
+the flux cases also bound their wall-clock time, with a wide margin.
 """
 
+import importlib
+import math
+import time
 import tracemalloc
 
 import pytest
 
-from treecap import BoundarySet, MisalignedArcError, ResolutionError, cli
+from treecap import (
+    BoundarySet,
+    MisalignedArcError,
+    ResolutionError,
+    VertexId,
+    cli,
+    equal_split,
+    extremal,
+)
 from treecap.disc import CondenserProblem, SolverGrid, solve
 from treecap.experiments import parse_set_spec
 
@@ -85,6 +96,44 @@ class TestDeepExport:
         line = refused(argv, capsys)
         assert line.startswith(f"error: cannot export a set of resolution {resolution}: ")
         assert line.endswith("any set of resolution up to 14284 exports")
+
+
+@pytest.fixture
+def no_position_walk(monkeypatch):
+    """Walking the trie positions raises, so an answer has to come from the DAG."""
+
+    def refuse(*args):
+        raise AssertionError("the trie positions were walked")
+
+    monkeypatch.setattr(importlib.import_module("treecap.capacity"), "_positions", refuse)
+
+
+class TestFluxOnSharedCarriers:
+    """Carriers with exponentially more trie positions than distinct nodes."""
+
+    @pytest.mark.parametrize(
+        "spec, positions", [("split:0.25,10", 4_196_351), ("split:0.25,12", 67_117_055)]
+    )
+    def test_cli_exits_two(self, spec, positions, no_leaf_lists, no_position_walk, capsys):
+        start = time.perf_counter()
+        line = refused(["extremal", "--set", spec], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert line == (
+            f"error: cannot export the flux at {positions} trie positions; "
+            "at most 1048576 export"
+        )
+
+    def test_queries_take_one_descent(self, no_leaf_lists, no_position_walk):
+        family = equal_split(0.25, 12, 1e-9)
+        deep = VertexId(10_000, (1 << 10_000) - 1)
+        start = time.perf_counter()
+        flux = extremal(family.carrier)
+        h, H = flux.h_at(deep), flux.H_at(deep)
+        assert time.perf_counter() - start < 0.1
+        # the rightmost path leaves the shared piece at an Empty leaf, so h is
+        # 0 there and 1 - H is the product of 1 - e_k over the 13 levels above
+        assert h == 0.0
+        assert abs((1.0 - H) - math.prod(1.0 - e for e in family.e)) <= 1e-12
 
 
 class TestPrefixSpecs:
